@@ -13,7 +13,7 @@
 // instead (bit-identical tours either way).
 //
 // Both arms run the full q_rooted_tsp pipeline (MSF → double-tree →
-// polish) on the identical oracle-backed instance; the candidate arm's
+// polish) on the identical direct-geometry instance; the candidate arm's
 // timing includes building the CandidateGraph, since that is part of its
 // pipeline cost. --threads > 1 additionally reports the candidate arm
 // with per-charger polish fanned out over a ThreadPool (bit-identical
@@ -32,7 +32,6 @@
 #include "geom/simd.hpp"
 #include "obs/obs.hpp"
 #include "tsp/candidates.hpp"
-#include "tsp/oracle.hpp"
 #include "tsp/qrooted.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
@@ -56,9 +55,7 @@ int main(int argc, char** argv) {
   const std::string trace_path = args.get_or("trace-out", "");
   if (!trace_path.empty()) obs::set_trace_enabled(true);
 
-  // Deterministic instance; the oracle caches distance rows lazily, so
-  // warm it with one dense MSF before timing either arm. Above ~8 GiB
-  // the O(n²) matrix cannot exist and the arms run on direct geometry.
+  // Deterministic instance, read through direct geometry by both arms.
   Rng rng(20140917 + n);
   tsp::QRootedInstance instance;
   instance.depots.reserve(q);
@@ -69,20 +66,8 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < n; ++i)
     instance.sensors.push_back(
         {rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)});
-  const double matrix_gb = static_cast<double>(n + q) *
-                           static_cast<double>(n + q) * 8.0 /
-                           (1024.0 * 1024.0 * 1024.0);
-  const bool matrix_fits = matrix_gb <= 8.0;
-  tsp::DistanceOracle oracle;
-  tsp::DistanceView view;
+  const auto view = instance.distances();
   double checksum = 0.0;
-  if (matrix_fits) {
-    oracle = tsp::DistanceOracle(instance.depots, instance.sensors);
-    view = oracle.view();
-    checksum += tsp::q_rooted_msf(view, q).total_weight;
-  } else {
-    view = tsp::DistanceView::direct(instance.depots, instance.sensors);
-  }
 
   tsp::QRootedOptions exhaustive;
   exhaustive.improve = true;
@@ -90,7 +75,6 @@ int main(int argc, char** argv) {
 
   tsp::QRootedOptions candidate;
   candidate.improve = true;
-  candidate.candidate_msf = true;
   candidate.candidate_options.k = k;
 
   const auto combined = instance.points().materialize();
@@ -170,8 +154,8 @@ int main(int argc, char** argv) {
       exhaustive_length > 0.0
           ? (candidate_length / exhaustive_length - 1.0) * 100.0
           : 0.0;
-  std::printf("micro_improve: n=%zu q=%zu k=%zu trials=%zu (%s view)\n", n, q,
-              k, trials, matrix_fits ? "oracle" : "direct");
+  std::printf("micro_improve: n=%zu q=%zu k=%zu trials=%zu\n", n, q, k,
+              trials);
   if (run_exhaustive) {
     std::printf("  exhaustive polish %10.3f ms  length %12.3f\n",
                 exhaustive_ms, exhaustive_length);

@@ -4,7 +4,7 @@
 //               [--json PATH]
 //
 // Times the hottest instrumented path — q_rooted_tsp with 2-opt/Or-opt
-// polish over a warm oracle-backed view (MWC_OBS_SCOPE spans, probe-count
+// polish over a direct dispatch view (MWC_OBS_SCOPE spans, probe-count
 // flushes, gauge adds) — plus one Simulator::run over the same network
 // (per-dispatch counters + the residual-margin histogram), plus the
 // service warm-request path: cache-hit requests over a socketpair to an
@@ -196,11 +196,7 @@ int main(int argc, char** argv) {
   Rng rng(20140917);
   const wsn::Network network = wsn::deploy_random(deploy, rng);
 
-  std::vector<geom::Point> sensors;
-  sensors.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    sensors.push_back(network.sensor(i).position);
-  const tsp::DistanceOracle oracle(network.depots(), sensors);
+  const tsp::DistanceOracle oracle(network.depots(), network.sensor_points());
   std::vector<std::size_t> all_ids(n);
   for (std::size_t i = 0; i < n; ++i) all_ids[i] = i;
 
@@ -208,7 +204,7 @@ int main(int argc, char** argv) {
   options.improve = true;  // polish loops are the probe-heaviest path
 
   double checksum = 0.0;  // defeats dead-code elimination
-  // Warm the oracle rows so every timed rep runs the identical path.
+  // One untimed warm-up run (allocator, caches) before the timed reps.
   checksum += tsp::q_rooted_tsp(oracle.dispatch_view(all_ids), q, options)
                   .total_length;
 

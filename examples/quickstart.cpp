@@ -75,8 +75,7 @@ int main(int argc, char** argv) {
               result.feasible() ? " (feasible)" : " (INFEASIBLE!)");
 
   // Identical dispatch sets are costed once: the simulator memoizes tour
-  // costs over a shared distance oracle, so only the K+1 round classes
-  // ever miss.
+  // costs per dispatch set, so only the K+1 round classes ever miss.
   std::printf("tour cache: %zu hits, %zu misses\n", result.tour_cache_hits,
               result.tour_cache_misses);
 

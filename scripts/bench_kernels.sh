@@ -4,15 +4,13 @@
 # per-size JSON outputs into BENCH_kernels.json.
 #
 # Recorded per cell (see bench/micro_kernels.cpp):
-#   * fill  — oracle row materialization, simd vs scalar-fallback vs the
-#             seed's per-pair std::hypot kernel (skipped at n = 100k,
-#             where the O(n^2) matrix cannot exist);
-#   * row   — the raw distance_row kernel (runs at every n);
+#   * row   — the raw distance_row kernel, simd vs scalar-fallback vs the
+#             seed's per-pair std::hypot kernel;
 #   * probe — batched DistanceView::direct probes;
 #   * solve — end-to-end q_rooted_tsp, simd on vs off, bit-identical
 #             tours required.
 #
-# Hard gates (exit nonzero): the n = 10k row fill must be >= 3x faster
+# Hard gates (exit nonzero): the n = 10k row kernel must be >= 3x faster
 # than the seed hypot kernel, every cell's simd/scalar tour delta must
 # be within 1% (it is 0 by the bit-exactness contract), the n = 100k
 # cell must complete, and the --metrics-out sidecar must validate with
@@ -52,33 +50,29 @@ merged = {
     "lanes": points[0]["lanes"],
     "q": points[0]["q"], "reps": points[0]["reps"],
     "points": points,
-    "fill_speedup_vs_seed_at_10k": at10k["fill_speedup_vs_seed"],
-    "fill_speedup_vs_scalar_at_10k": at10k["fill_speedup"],
+    "row_speedup_vs_seed_at_10k": at10k["row_speedup_vs_seed"],
     "row_speedup_vs_scalar_at_10k": at10k["row_speedup"],
     "solve_speedup_vs_scalar_at_10k": at10k["solve_speedup"],
     "tour_delta_pct_at_10k": at10k["tour_delta_pct"],
     "solve_100k_ms": at100k["solve_simd_ms"],
     "tour_delta_pct_at_100k": at100k["tour_delta_pct"],
-    "target_fill_speedup_vs_seed": 3.0,
+    "target_row_speedup_vs_seed": 3.0,
     "target_tour_delta_pct": 1.0,
-    "note": "seed = the per-pair std::hypot AoS row fill this PR "
-            "replaced; scalar = the same sqrt(squared_norm) pipeline "
-            "with geom::simd disabled (bit-identical tours, so the "
-            "tour delta is exactly 0). simd-vs-scalar ratios are "
+    "note": "seed = the per-pair std::hypot AoS row loop the SoA "
+            "kernels replaced; scalar = the same sqrt(squared_norm) "
+            "pipeline with geom::simd disabled (bit-identical tours, so "
+            "the tour delta is exactly 0). simd-vs-scalar ratios are "
             "sqrt-unit-bound on single-sqrt-port hosts and recorded "
-            "without a gate; the n=100k cell runs direct-geometry "
-            "views only (no O(n^2) matrix).",
+            "without a gate; every cell solves over direct geometry "
+            "(no O(n^2) matrix).",
 }
 json.dump(merged, open(out, "w"), indent=2)
 open(out, "a").write("\n")
 for p in points:
-    fill = (f"fill {p['fill_speedup_vs_seed']:5.2f}x vs seed, "
-            f"{p['fill_speedup']:4.2f}x vs scalar"
-            if p["matrix_fits"] else "fill skipped (O(n^2) matrix)")
-    print(f"n={p['n']:>6}: {fill}; row {p['row_speedup']:4.2f}x "
+    print(f"n={p['n']:>6}: row {p['row_speedup']:4.2f}x "
           f"({p['row_speedup_vs_seed']:5.2f}x vs seed); solve "
           f"{p['solve_speedup']:4.2f}x, delta {p['tour_delta_pct']:+.4f}%")
-ok = (at10k["fill_speedup_vs_seed"] >= merged["target_fill_speedup_vs_seed"]
+ok = (at10k["row_speedup_vs_seed"] >= merged["target_row_speedup_vs_seed"]
       and all(abs(p["tour_delta_pct"]) <= merged["target_tour_delta_pct"]
               for p in points))
 print(f"wrote {out} ({'targets met' if ok else 'TARGETS MISSED'})")

@@ -35,8 +35,6 @@ ABLS="abl_tour_improvement abl_charger_count abl_rounding abl_fleet \
     "$BUILD/bench/$b" --trials "$TRIALS"
   done
   echo
-  "$BUILD/bench/micro_oracle" --reps 10 --json "$OUT/BENCH_oracle.json"
-  echo
   scripts/bench_kernels.sh "$OUT/BENCH_kernels.json"
   echo
   scripts/bench_spatial.sh "$OUT/BENCH_spatial.json"
@@ -44,5 +42,5 @@ ABLS="abl_tour_improvement abl_charger_count abl_rounding abl_fleet \
 
 echo
 echo "done: tables in $OUT/reproduction_run.txt, CSVs and SVG charts in $OUT/,"
-echo "      oracle timings in $OUT/BENCH_oracle.json, SIMD kernel grid in"
-echo "      $OUT/BENCH_kernels.json, spatial-index grid in $OUT/BENCH_spatial.json"
+echo "      SIMD kernel grid in $OUT/BENCH_kernels.json, spatial-index grid"
+echo "      in $OUT/BENCH_spatial.json"

@@ -37,17 +37,10 @@ void accumulate(FleetPlan& plan, const tsp::DistanceView& distances,
 
 FleetPlan plan_capacitated_round(const wsn::Network& network,
                                  const std::vector<std::size_t>& sensor_ids,
-                                 double capacity,
-                                 const tsp::DistanceOracle* oracle) {
+                                 double capacity) {
   MWC_ASSERT(capacity > 0.0);
-  tsp::QRootedInstance instance;  // keeps the direct path's points alive
-  tsp::DistanceView distances;
-  if (oracle != nullptr) {
-    distances = oracle->dispatch_view(sensor_ids);
-  } else {
-    instance = make_instance(network, sensor_ids);
-    distances = instance.distances();
-  }
+  const tsp::QRootedInstance instance = make_instance(network, sensor_ids);
+  const tsp::DistanceView distances = instance.distances();
   const auto tours = tsp::q_rooted_tsp(distances, network.q());
 
   FleetPlan plan;
@@ -63,17 +56,10 @@ FleetPlan plan_capacitated_round(const wsn::Network& network,
 
 FleetPlan plan_minmax_round(const wsn::Network& network,
                             const std::vector<std::size_t>& sensor_ids,
-                            std::size_t chargers_per_depot,
-                            const tsp::DistanceOracle* oracle) {
+                            std::size_t chargers_per_depot) {
   MWC_ASSERT(chargers_per_depot >= 1);
-  tsp::QRootedInstance instance;  // keeps the direct path's points alive
-  tsp::DistanceView distances;
-  if (oracle != nullptr) {
-    distances = oracle->dispatch_view(sensor_ids);
-  } else {
-    instance = make_instance(network, sensor_ids);
-    distances = instance.distances();
-  }
+  const tsp::QRootedInstance instance = make_instance(network, sensor_ids);
+  const tsp::DistanceView distances = instance.distances();
   const auto tours = tsp::q_rooted_tsp(distances, network.q());
 
   FleetPlan plan;

@@ -44,22 +44,18 @@ struct FleetPlan {
 /// Plans one charging round over `sensor_ids` with per-trip length budget
 /// `capacity`: Algorithm 2 tours, each split by split_tour_capacity.
 /// Requires capacity to cover every sensor's round trip from its serving
-/// depot (asserted). When `oracle` (a whole-network tsp::DistanceOracle
-/// with the network's depots and all sensors) is given, distances come
-/// from its cache instead of fresh geometry — bit-identical results.
+/// depot (asserted).
 FleetPlan plan_capacitated_round(const wsn::Network& network,
                                  const std::vector<std::size_t>& sensor_ids,
-                                 double capacity,
-                                 const tsp::DistanceOracle* oracle = nullptr);
+                                 double capacity);
 
 /// Plans one charging round with `chargers_per_depot` vehicles at every
 /// depot, minimizing the longest tour: Algorithm 2 tours, each split by
 /// split_tour_minmax. chargers_per_depot == 1 reproduces the plain
-/// q-rooted round. `oracle` as in plan_capacitated_round.
+/// q-rooted round.
 FleetPlan plan_minmax_round(const wsn::Network& network,
                             const std::vector<std::size_t>& sensor_ids,
-                            std::size_t chargers_per_depot,
-                            const tsp::DistanceOracle* oracle = nullptr);
+                            std::size_t chargers_per_depot);
 
 struct DurationModel {
   double travel_speed = 5.0;     ///< metres per second (a slow UGV)

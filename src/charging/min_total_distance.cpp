@@ -33,18 +33,6 @@ void MinTotalDistancePolicy::on_dispatch_executed(const StateView& view,
   ++next_round_;
 }
 
-std::vector<std::vector<std::size_t>>
-MinTotalDistancePolicy::planned_dispatch_sets(const StateView& view) const {
-  (void)view;
-  if (partition_.groups.empty()) return {};
-  std::vector<std::vector<std::size_t>> sets;
-  sets.reserve(partition_.K + 1);
-  // Round 2^k is the canonical depth-k round; its set covers V_0..V_k.
-  for (std::size_t k = 0; k <= partition_.K; ++k)
-    sets.push_back(round_sensor_set(partition_, std::size_t{1} << k));
-  return sets;
-}
-
 BuiltSchedule build_min_total_distance_schedule(
     const wsn::Network& network, const std::vector<double>& cycles, double T,
     const tsp::QRootedOptions& tour_options) {

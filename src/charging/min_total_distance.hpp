@@ -31,12 +31,6 @@ class MinTotalDistancePolicy final : public Policy {
   void on_dispatch_executed(const StateView& view,
                             const Dispatch& dispatch) override;
 
-  /// The K+1 distinct round classes (round j's set depends only on its
-  /// depth, and round 2^k has depth k), so the simulator can pre-cost
-  /// every set this policy will ever dispatch.
-  std::vector<std::vector<std::size_t>> planned_dispatch_sets(
-      const StateView& view) const override;
-
   const CyclePartition& partition() const noexcept { return partition_; }
 
  private:

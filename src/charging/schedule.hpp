@@ -65,17 +65,6 @@ class Policy {
   /// Cycle values changed (variable-τ runs; called after the state
   /// reflects the new cycles).
   virtual void on_cycles_updated(const StateView& view) { (void)view; }
-
-  /// Dispatch sets the policy already knows it will emit (e.g. the K+1
-  /// round classes of MinTotalDistance). The simulator may cost them
-  /// ahead of time, in parallel, to pre-warm its tour-cost cache
-  /// (Simulator::precost_policy). Purely an optimization hint: the
-  /// default (no known sets) is always correct. Called after reset().
-  virtual std::vector<std::vector<std::size_t>> planned_dispatch_sets(
-      const StateView& view) const {
-    (void)view;
-    return {};
-  }
 };
 
 /// Sorts and deduplicates a dispatch's sensor set (normal form).

@@ -130,7 +130,7 @@ std::vector<AggregateOutcome> run_policies(
       policies.size(), std::vector<sim::SimResult>(config.trials));
 
   const auto body = [&](std::size_t trial) {
-    // One topology + oracle + cost cache per trial, shared by all
+    // One topology + candidate graph + cost cache per trial, shared by all
     // policies (paired comparison on identical geometry; identical
     // dispatch sets cost the same tours either way, so sharing the
     // cache cannot change any result).

@@ -11,7 +11,7 @@
 // examples, benches, and scripts/reproduce_all.sh can pick policies from
 // the command line without recompiling. The runner is trial-major: each
 // trial builds its topology, cycle draws, and Simulator once and runs
-// every requested policy against them, so the per-network distance oracle
+// every requested policy against them, so the per-network candidate graph
 // and the tour-cost cache are shared across policies instead of being
 // rebuilt per (policy, trial) pair.
 #pragma once
@@ -107,7 +107,7 @@ AggregateOutcome run_policy(const ExperimentConfig& config,
 /// Runs several policies over the same trials (paired comparison).
 /// Trial-major: each trial's network, cycle draws, and Simulator are
 /// built once and shared by every policy, so all policies read the same
-/// distance oracle and tour-cost cache.
+/// candidate graph and tour-cost cache.
 std::vector<AggregateOutcome> run_policies(
     const ExperimentConfig& config, std::span<const std::string> policies,
     ThreadPool* pool = nullptr);

@@ -3,7 +3,7 @@
 // Three batch primitives cover every hot distance loop in the pipeline:
 //
 //   * distance_row   — one query point against a contiguous coordinate
-//                      block (oracle row fills, MSF root scans);
+//                      block (batched view probes, MSF root scans);
 //   * distance2_row  — the same without the sqrt (k-NN refinement,
 //                      candidate-repair break-in scans);
 //   * distance_pairs — elementwise distance between two gathered

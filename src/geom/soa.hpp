@@ -3,8 +3,8 @@
 // geom/simd.hpp consume (unit-stride loads instead of AoS gathers).
 //
 // A PointsSoA is built once per network/dispatch (O(n) deinterleave) and
-// then shared by every kernel that batches over the set: oracle row
-// fills, candidate-row refinement, the MSF root scan. Round-tripping
+// then shared by every kernel that batches over the set: the
+// DistanceMatrix fill and the kernel/spatial bench baselines. Round-tripping
 // through materialize() reproduces the original points bit-for-bit —
 // pinned by tests/geom/soa_test.cpp.
 #pragma once

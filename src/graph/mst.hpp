@@ -31,7 +31,7 @@ struct MstResult {
 /// Prim's algorithm over a complete graph given by any callable distance
 /// source `dist(i, j)`, starting from node `root`. O(n^2) time, O(n)
 /// extra space. Statically dispatched — no per-probe type erasure — so
-/// this is the form the distance-oracle hot paths call; the
+/// this is the form the DistanceView hot paths call; the
 /// std::function overload below delegates here.
 template <typename DistFn>
 MstResult prim_mst_with(std::size_t n, DistFn&& dist, std::size_t root = 0) {

@@ -18,7 +18,7 @@
 //
 // Naming convention (see docs/OBSERVABILITY.md): dot-separated
 // lower_snake path "component.metric[_unit]", e.g. "sim.dispatches",
-// "oracle.rows_materialized", "pool.queue_wait_us".
+// "oracle.dispatch_views", "pool.queue_wait_us".
 #pragma once
 
 #ifndef MWC_OBS_ENABLED

@@ -43,8 +43,8 @@ struct SimResult {
   /// tightest margin by which the policy stayed feasible.
   double min_residual_at_charge = std::numeric_limits<double>::infinity();
   /// Tour-cost cache hits/misses during this run. A dispatch whose set
-  /// was already costed (earlier in the run, in a previous run, or by
-  /// Simulator::precost_dispatches) counts as a hit; for
+  /// was already costed (earlier in the run or in a previous run) counts
+  /// as a hit; for
   /// MinTotalDistance with a cold cache, misses == K + 1 (the distinct
   /// round classes) and hits == num_dispatches - (K + 1).
   std::size_t tour_cache_hits = 0;

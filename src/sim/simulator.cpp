@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_set>
 
-#include "charging/fleet.hpp"
 #include "obs/obs.hpp"
+#include "tsp/split.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -15,14 +14,6 @@ namespace mwc::sim {
 
 namespace {
 constexpr double kTimeTolerance = 1e-9;
-
-tsp::DistanceOracle make_network_oracle(const wsn::Network& network) {
-  std::vector<geom::Point> sensors;
-  sensors.reserve(network.n());
-  for (std::size_t i = 0; i < network.n(); ++i)
-    sensors.push_back(network.sensor(i).position);
-  return tsp::DistanceOracle(network.depots(), sensors);
-}
 }  // namespace
 
 /// StateView implementation backed by the simulator's live arrays.
@@ -55,7 +46,7 @@ Simulator::Simulator(const wsn::Network& network,
     : network_(network),
       cycle_model_(cycles),
       options_(options),
-      oracle_(make_network_oracle(network)),
+      oracle_(network.depots(), network.sensor_points()),
       cache_hits_c_(metrics_.counter("sim.tour_cache_hits")),
       cache_misses_c_(metrics_.counter("sim.tour_cache_misses")) {
   MWC_ASSERT(options.horizon > 0.0);
@@ -68,53 +59,20 @@ std::uint64_t Simulator::set_hash(const std::vector<std::size_t>& sensors) {
   return h;
 }
 
-bool Simulator::wants_candidates() const noexcept {
-  const auto& topts = options_.tour_options;
-  if (topts.candidates != nullptr) return false;  // caller supplied one
-  return topts.candidate_msf ||
-         (topts.improve && !topts.improve_options.exhaustive &&
-          topts.improve_options.candidates == nullptr);
-}
-
 const tsp::CandidateGraph& Simulator::shared_candidates() const {
-  std::call_once(cand_once_, [&] {
-    std::vector<geom::Point> combined;
-    combined.reserve(network_.q() + network_.n());
-    combined.insert(combined.end(), network_.depots().begin(),
-                    network_.depots().end());
-    for (std::size_t i = 0; i < network_.n(); ++i)
-      combined.push_back(network_.sensor(i).position);
+  if (!cand_graph_) {
     cand_graph_ = std::make_unique<tsp::CandidateGraph>(
-        tsp::CandidateGraph::build(combined,
+        tsp::CandidateGraph::build(oracle_.points(),
                                    options_.tour_options.candidate_options));
-  });
+  }
   return *cand_graph_;
 }
 
-Simulator::TourCost Simulator::compute_cost(
+tsp::QRootedTours Simulator::dispatch_tours(
     const std::vector<std::size_t>& sensors) const {
-  MWC_OBS_SCOPE("sim.compute_tour_cost");
-  if (options_.trip_capacity > 0.0) {
-    // Range-limited vehicles: plan the round as capacity-respecting
-    // trips; each depot's trip lengths accumulate on its charger.
-    const auto plan = charging::plan_capacitated_round(
-        network_, sensors, options_.trip_capacity, &oracle_);
-    TourCost cost;
-    cost.total = plan.total_length;
-    cost.per_depot.reserve(plan.trips.size());
-    for (const auto& depot_trips : plan.trips) {
-      double depot_cost = 0.0;
-      for (const auto& trip : depot_trips) depot_cost += trip.length;
-      cost.per_depot.push_back(depot_cost);
-    }
-    return cost;
-  }
-
-  const auto distances = oracle_.dispatch_view(sensors);
-
   tsp::QRootedOptions topts = options_.tour_options;
   tsp::CandidateGraph dispatch_graph;
-  if (wants_candidates()) {
+  if (topts.candidates == nullptr) {
     // Candidate indices must coincide with view-local indices: the shared
     // full-space graph matches only the identity dispatch (all n sensors
     // in order); any proper subset gets its own subspace graph, amortized
@@ -131,18 +89,39 @@ Simulator::TourCost Simulator::compute_cost(
       pts.insert(pts.end(), network_.depots().begin(),
                  network_.depots().end());
       for (std::size_t id : sensors)
-        pts.push_back(network_.sensor(id).position);
+        pts.push_back(network_.sensor_points()[id]);
       dispatch_graph =
           tsp::CandidateGraph::build(pts, topts.candidate_options);
       topts.candidates = &dispatch_graph;
     }
   }
+  return tsp::q_rooted_tsp(oracle_.dispatch_view(sensors), network_.q(),
+                           topts);
+}
 
-  const auto tours = tsp::q_rooted_tsp(distances, network_.q(), topts);
+Simulator::TourCost Simulator::compute_cost(
+    const std::vector<std::size_t>& sensors) const {
+  MWC_OBS_SCOPE("sim.compute_tour_cost");
+  const auto tours = dispatch_tours(sensors);
+  const auto distances = oracle_.dispatch_view(sensors);
 
   TourCost cost;
-  cost.total = tours.total_length;
   cost.per_depot.reserve(tours.tours.size());
+  if (options_.trip_capacity > 0.0) {
+    // Range-limited vehicles: split each tour into capacity-respecting
+    // trips; each depot's trip lengths accumulate on its charger.
+    for (std::size_t l = 0; l < tours.tours.size(); ++l) {
+      const double depot_cost =
+          tsp::split_tour_capacity(distances, tours.tours[l], l,
+                                   options_.trip_capacity)
+              .total_length;
+      cost.per_depot.push_back(depot_cost);
+      cost.total += depot_cost;
+    }
+    return cost;
+  }
+
+  cost.total = tours.total_length;
   for (const auto& tour : tours.tours)
     cost.per_depot.push_back(tour.length_with(distances));
   return cost;
@@ -166,59 +145,6 @@ Simulator::TourCost Simulator::dispatch_cost(
   TourCost cost = compute_cost(sensors);
   if (options_.cache_tour_costs) cost_cache_.emplace(key, cost);
   return cost;
-}
-
-std::size_t Simulator::precost_dispatches(
-    std::span<const std::vector<std::size_t>> sets, ThreadPool* pool) {
-  if (!options_.cache_tour_costs) return 0;
-  MWC_OBS_SCOPE("sim.precost_dispatches");
-
-  // Gather the distinct missing sets serially (the cache map is not
-  // thread-safe) ...
-  std::vector<const std::vector<std::size_t>*> missing;
-  std::vector<std::uint64_t> keys;
-  std::unordered_set<std::uint64_t> pending;
-  for (const auto& sensors : sets) {
-    if (sensors.empty()) continue;
-    const std::uint64_t key = set_hash(sensors);
-    if (cost_cache_.contains(key) || !pending.insert(key).second) continue;
-    missing.push_back(&sensors);
-    keys.push_back(key);
-  }
-  if (missing.empty()) return 0;
-
-  // ... cost them concurrently (compute_cost only reads shared state;
-  // the oracle's lazy rows tolerate concurrent first touches) ...
-  std::vector<TourCost> costs(missing.size());
-  const auto cost_one = [&](std::size_t i) {
-    costs[i] = compute_cost(*missing[i]);
-  };
-  if (pool != nullptr && missing.size() > 1) {
-    parallel_for(*pool, 0, missing.size(), cost_one);
-  } else {
-    serial_for(0, missing.size(), cost_one);
-  }
-
-  // ... and publish serially.
-  for (std::size_t i = 0; i < missing.size(); ++i)
-    cost_cache_.emplace(keys[i], std::move(costs[i]));
-  metrics_.counter("sim.precost_sets").add(missing.size());
-  MWC_OBS_COUNT_N("sim.precost_sets", missing.size());
-  return missing.size();
-}
-
-std::size_t Simulator::precost_policy(charging::Policy& policy,
-                                      ThreadPool* pool) {
-  if (!options_.cache_tour_costs) return 0;
-  // Reconstruct the t = 0 state run() starts from; policies are
-  // restartable, so the extra reset() is harmless.
-  View view(network_, options_.horizon);
-  view.now_ = 0.0;
-  view.cycles_ = cycle_model_.cycles_at_slot(0);
-  view.residual_ = view.cycles_;
-  policy.reset(view);
-  const auto sets = policy.planned_dispatch_sets(view);
-  return precost_dispatches(sets, pool);
 }
 
 SimResult Simulator::run(charging::Policy& policy) {

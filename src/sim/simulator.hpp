@@ -19,8 +19,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -30,7 +28,6 @@
 #include "tsp/candidates.hpp"
 #include "tsp/oracle.hpp"
 #include "tsp/qrooted.hpp"
-#include "util/thread_pool.hpp"
 #include "wsn/cycles.hpp"
 #include "wsn/network.hpp"
 
@@ -42,16 +39,16 @@ struct SimOptions {
   /// (the fixed-maximum-charging-cycle setting).
   double slot_length = 0.0;
   /// How each round's q tours are built (construction heuristic +
-  /// optional 2-opt/Or-opt polish, candidate-list acceleration). Defaults
-  /// match the paper. When a candidate-consuming stage is enabled
-  /// (`improve` without `improve_options.exhaustive`, or `candidate_msf`)
-  /// and no graph is supplied, the simulator provides one: the lazily
-  /// built shared graph over the full combined space for full dispatches,
-  /// or a per-dispatch subspace graph otherwise (memoized with the tour
-  /// cost, so each distinct set builds at most once).
+  /// optional 2-opt/Or-opt polish). Defaults match the paper. Unless the
+  /// options already carry a graph, the simulator gives every round a
+  /// k-NN candidate graph, so the MSF runs candidate-pruned Prim (and
+  /// non-exhaustive polish scans candidates): the lazily built shared
+  /// graph over the full combined space for full dispatches, or a
+  /// per-dispatch subspace graph otherwise (memoized with the tour cost,
+  /// so each distinct set builds at most once).
   tsp::QRootedOptions tour_options;
   /// Per-trip travel budget of each charger (metres); > 0 splits every
-  /// round's tours via charging::plan_capacitated_round, adding the
+  /// round's tours via tsp::split_tour_capacity, adding the
   /// return legs a range-limited vehicle actually drives. <= 0 matches
   /// the paper's unlimited-range model.
   double trip_capacity = 0.0;
@@ -74,27 +71,18 @@ class Simulator {
   /// runs; it depends only on the network geometry and options).
   SimResult run(charging::Policy& policy);
 
-  /// Pre-warms the tour-cost cache with the given dispatch sets: missing
-  /// sets are costed concurrently on `pool` (serially when null) and
-  /// inserted into the cache. A subsequent run() then hits the cache on
-  /// every dispatch of one of these sets. Distances are read through the
-  /// shared per-network oracle, whose lazy rows are thread-safe. Returns
-  /// the number of sets actually computed (not already cached). No-op
-  /// when cache_tour_costs is off.
-  std::size_t precost_dispatches(
-      std::span<const std::vector<std::size_t>> sets,
-      ThreadPool* pool = nullptr);
-
-  /// Asks `policy` (after a reset at t = 0) for its planned dispatch
-  /// sets and pre-costs them. Convenience wrapper used by the experiment
-  /// runner before timed runs.
-  std::size_t precost_policy(charging::Policy& policy,
-                             ThreadPool* pool = nullptr);
+  /// Algorithm 2 tours of one dispatch set, in the labels of
+  /// oracle().dispatch_view(sensors), built exactly as the tour costing
+  /// builds them (same view, same candidate graph): their total equals
+  /// the cost charged to the set unless trip_capacity splits the round.
+  tsp::QRootedTours dispatch_tours(
+      const std::vector<std::size_t>& sensors) const;
 
   const SimOptions& options() const noexcept { return options_; }
 
-  /// Shared pairwise-distance oracle over the network's q depots plus all
-  /// n sensors (combined index space: depot l at l, sensor i at q + i).
+  /// The network's q depots plus all n sensors in the combined index
+  /// space (depot l at l, sensor i at q + i); every round is costed on
+  /// one of its direct dispatch views.
   const tsp::DistanceOracle& oracle() const noexcept { return oracle_; }
 
   /// Tour-cache statistics since construction, read from the simulator's
@@ -123,23 +111,19 @@ class Simulator {
   };
 
   TourCost dispatch_cost(const std::vector<std::size_t>& sensors);
-  /// Pure costing of one dispatch set through the oracle; no cache access,
-  /// safe to call concurrently.
+  /// Pure costing of one dispatch set; no cache access.
   TourCost compute_cost(const std::vector<std::size_t>& sensors) const;
   static std::uint64_t set_hash(const std::vector<std::size_t>& sensors);
 
-  /// True when tour_options wants a candidate graph but supplies none.
-  bool wants_candidates() const noexcept;
-  /// Lazily built shared k-NN graph over the full combined node space
-  /// (thread-safe via call_once); index-compatible with any identity
-  /// dispatch view, i.e. a dispatch of all n sensors in order.
+  /// Lazily built shared k-NN graph over the full combined node space;
+  /// index-compatible with any identity dispatch view, i.e. a dispatch of
+  /// all n sensors in order.
   const tsp::CandidateGraph& shared_candidates() const;
 
   const wsn::Network& network_;
   const wsn::CycleProcess& cycle_model_;
   SimOptions options_;
   tsp::DistanceOracle oracle_;
-  mutable std::once_flag cand_once_;
   mutable std::unique_ptr<tsp::CandidateGraph> cand_graph_;
   std::unordered_map<std::uint64_t, TourCost> cost_cache_;
   obs::Registry metrics_;

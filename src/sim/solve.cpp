@@ -22,15 +22,15 @@ SolveOutcome solve_network(const wsn::Network& network,
   outcome.result = simulator.run(policy);
   if (outcome.result.dispatch_log.empty()) return outcome;
 
-  // Rebuild the first round's tours through the simulator's shared
-  // oracle — the identical distance kernel its costing used, so the
-  // tours' total matches the logged round cost bit for bit (when no
-  // trip-capacity splitting rewrites the round).
+  // Rebuild the first round's tours exactly as the simulator costed them
+  // (same view, same candidate graph), so the tours' total matches the
+  // logged round cost bit for bit (when no trip-capacity splitting
+  // rewrites the round).
   const auto& first = outcome.result.dispatch_log.front();
   RoundPlan& round = outcome.first_round;
   round.sensors = first.sensors;
   const auto view = simulator.oracle().dispatch_view(round.sensors);
-  auto tours = tsp::q_rooted_tsp(view, network.q(), options.tour_options);
+  auto tours = simulator.dispatch_tours(round.sensors);
   round.total_length = tours.total_length;
   round.tours.reserve(tours.tours.size());
   round.tour_lengths.reserve(tours.tours.size());
@@ -234,19 +234,13 @@ ReplanOutcome replan_round(const wsn::Network& network, const RoundPlan& base,
   RoundPlan& round = outcome.round;
   round.sensors = patch.sensors;
 
+  // The full pipeline always polishes over a candidate graph (unless forced
+  // exhaustive), so the repair must too — an exhaustive sweep here would
+  // cost more than the full solve it is meant to undercut. Any
+  // caller-supplied graph covers the *base* space; substitute the repaired
+  // one (same k regime, new space).
   tsp::ImproveOptions improve_opts = options.improve_options;
-  // Mirror Simulator::wants_candidates: the full pipeline polishes in
-  // candidate mode whenever improvement is on and not forced exhaustive
-  // (building a graph on demand if the caller supplied none), so the
-  // repair must too — an exhaustive sweep here would cost more than the
-  // full solve it is meant to undercut.
-  const bool candidate_polish =
-      !improve_opts.exhaustive &&
-      (improve_opts.candidates != nullptr || options.candidates != nullptr ||
-       options.candidate_msf || options.improve);
-  // Any caller-supplied graph covers the *base* space; substitute the
-  // repaired one (same k regime, new space).
-  improve_opts.candidates = candidate_polish ? &outcome.candidates : nullptr;
+  improve_opts.candidates = &outcome.candidates;
 
   // Two candidate hops: improving 2-opt/Or-opt moves triggered by a
   // patch routinely involve an edge one neighbourhood removed from the

@@ -16,8 +16,8 @@
 namespace mwc::tsp {
 
 // The double-tree and Christofides constructors exist in two forms: the
-// DistanceView form is the implementation (one distance kernel, cached
-// or direct), the point-span form wraps it in a direct-geometry view.
+// DistanceView form is the implementation (one distance kernel), the
+// point-span form wraps it in a direct-geometry view.
 // Results are bit-identical.
 
 /// MST double-tree 2-approximation starting from `start`. O(n^2).

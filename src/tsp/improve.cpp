@@ -18,26 +18,18 @@ double dist(const DistanceView& d, std::size_t a, std::size_t b) {
 }
 
 /// Locally accumulated telemetry, flushed once per polisher call so the
-/// move-evaluation loops stay free of atomic traffic. Probe counts split
-/// by cached (oracle) vs direct (recomputed) kernels like tsp/qrooted.cpp.
+/// move-evaluation loops stay free of atomic traffic.
 struct ImproveCounts {
   std::uint64_t passes = 0;
   std::uint64_t probes = 0;
   std::uint64_t cand_evals = 0;  ///< candidate-list edges examined
   std::uint64_t moves = 0;       ///< accepted improving moves
 
-  void flush(const DistanceView& d) const {
+  void flush() const {
     MWC_OBS_COUNT_N("tsp.improve_passes", passes);
     MWC_OBS_COUNT_N("tsp.improve.moves", moves);
     MWC_OBS_COUNT_N("tsp.cand.hits", cand_evals);
-    if (d.cached()) {
-      MWC_OBS_COUNT_N("oracle.probe_hits", probes);
-    } else {
-      MWC_OBS_COUNT_N("oracle.probe_misses", probes);
-    }
-#if !MWC_OBS_ENABLED
-    (void)d;
-#endif
+    MWC_OBS_COUNT_N("oracle.probes", probes);
   }
 };
 
@@ -445,7 +437,7 @@ double two_opt(Tour& tour, const DistanceView& points,
       use_candidates(opts, tour.size(), points.size())
           ? two_opt_candidates(tour, points, *opts.candidates, opts, counts)
           : two_opt_exhaustive(tour, points, opts, counts);
-  counts.flush(points);
+  counts.flush();
   return gain;
 }
 
@@ -460,7 +452,7 @@ double or_opt(Tour& tour, const DistanceView& points,
       use_candidates(opts, tour.size(), points.size())
           ? or_opt_candidates(tour, points, *opts.candidates, opts, counts)
           : or_opt_exhaustive(tour, points, opts, counts);
-  counts.flush(points);
+  counts.flush();
   return gain;
 }
 

@@ -62,7 +62,7 @@ struct ImproveOptions {
 };
 
 // Every polisher exists in two forms: the DistanceView form is the
-// implementation (one distance kernel, cached or direct), the point-span
+// implementation (one distance kernel), the point-span
 // form wraps it in a direct-geometry view. Results are bit-identical.
 
 /// 2-opt: repeatedly reverses segments while any reversal shortens the

@@ -8,15 +8,6 @@ namespace mwc::tsp {
 
 namespace {
 
-std::vector<geom::Point> concatenate(std::span<const geom::Point> depots,
-                                     std::span<const geom::Point> sensors) {
-  std::vector<geom::Point> pts;
-  pts.reserve(depots.size() + sensors.size());
-  pts.insert(pts.end(), depots.begin(), depots.end());
-  pts.insert(pts.end(), sensors.begin(), sensors.end());
-  return pts;
-}
-
 bool is_identity(const std::vector<std::size_t>& map) {
   for (std::size_t i = 0; i < map.size(); ++i)
     if (map[i] != i) return false;
@@ -43,18 +34,7 @@ DistanceView DistanceView::direct(std::span<const geom::Point> head,
 
 void DistanceView::distances_to(std::size_t i, std::span<const std::size_t> js,
                                 double* out) const {
-  const std::size_t a = map_.empty() ? i : map_[i];
-  if (oracle_ != nullptr) {
-    // One (vectorized) row materialization, then a straight gather.
-    const std::span<const double> row = oracle_->row(a);
-    if (map_.empty()) {
-      for (std::size_t k = 0; k < js.size(); ++k) out[k] = row[js[k]];
-    } else {
-      for (std::size_t k = 0; k < js.size(); ++k) out[k] = row[map_[js[k]]];
-    }
-    return;
-  }
-  // Direct geometry: gather coordinates once, run one row kernel.
+  // Gather coordinates once, run one row kernel.
   thread_local std::vector<double> gx, gy;
   gx.resize(js.size());
   gy.resize(js.size());
@@ -63,7 +43,7 @@ void DistanceView::distances_to(std::size_t i, std::span<const std::size_t> js,
     gx[k] = t.x;
     gy[k] = t.y;
   }
-  const geom::Point& p = backing_point(a);
+  const geom::Point& p = backing_point(map_.empty() ? i : map_[i]);
   geom::simd::distance_row(p.x, p.y, gx.data(), gy.data(), out, js.size());
 }
 
@@ -71,12 +51,6 @@ void DistanceView::distances_pairs(std::span<const std::size_t> as,
                                    std::span<const std::size_t> bs,
                                    double* out) const {
   MWC_DEBUG_ASSERT(as.size() == bs.size());
-  if (oracle_ != nullptr) {
-    // Pairs hit arbitrary rows; cached lookups are already plain loads
-    // once their rows exist, so there is nothing to vectorize here.
-    for (std::size_t k = 0; k < as.size(); ++k) out[k] = (*this)(as[k], bs[k]);
-    return;
-  }
   thread_local std::vector<double> gax, gay, gbx, gby;
   gax.resize(as.size());
   gay.resize(as.size());
@@ -96,7 +70,6 @@ void DistanceView::distances_pairs(std::span<const std::size_t> as,
 
 DistanceView DistanceView::sub(std::vector<std::size_t> locals) const {
   DistanceView view;
-  view.oracle_ = oracle_;
   view.head_ = head_;
   view.tail_ = tail_;
   view.size_ = locals.size();
@@ -117,29 +90,10 @@ DistanceView DistanceView::sub(std::vector<std::size_t> locals) const {
 
 DistanceOracle::DistanceOracle(std::span<const geom::Point> depots,
                                std::span<const geom::Point> sensors)
-    : q_(depots.size()), matrix_(concatenate(depots, sensors)) {}
-
-DistanceOracle::DistanceOracle(std::vector<geom::Point> points,
-                               std::size_t num_depots)
-    : q_(num_depots), matrix_(std::move(points)) {
-  MWC_ASSERT(q_ <= matrix_.size());
-}
-
-DistanceView DistanceOracle::view() const {
-  DistanceView view;
-  view.oracle_ = this;
-  view.size_ = size();
-  return view;
-}
-
-DistanceView DistanceOracle::submatrix(std::vector<std::size_t> subset) const {
-  DistanceView view;
-  view.oracle_ = this;
-  view.size_ = subset.size();
-  if (!is_identity(subset)) view.map_ = std::move(subset);
-  for ([[maybe_unused]] std::size_t i : view.map_)
-    MWC_DEBUG_ASSERT(i < size());
-  return view;
+    : q_(depots.size()) {
+  points_.reserve(depots.size() + sensors.size());
+  points_.insert(points_.end(), depots.begin(), depots.end());
+  points_.insert(points_.end(), sensors.begin(), sensors.end());
 }
 
 DistanceView DistanceOracle::dispatch_view(
@@ -152,7 +106,7 @@ DistanceView DistanceOracle::dispatch_view(
     MWC_DEBUG_ASSERT(q_ + id < size());
     subset.push_back(q_ + id);
   }
-  return submatrix(std::move(subset));
+  return DistanceView::direct(points_).sub(std::move(subset));
 }
 
 }  // namespace mwc::tsp

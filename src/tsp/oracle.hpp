@@ -1,66 +1,58 @@
-// Shared distance oracle over the combined depot+sensor index space.
+// Distance kernel over the combined depot+sensor index space.
 //
 // Every layer of the reproduction — Algorithm 1's contracted MST,
 // Algorithm 2's double-tree tours, the 2-opt/Or-opt polishers, and the
 // simulator's per-dispatch costing — probes Euclidean distances on the
-// same point set over and over. `DistanceOracle` materializes those
-// distances once per network into a flat row-major cache (lazily, row by
-// row, thread-safe), and `DistanceView` is the one kernel every tsp
-// routine reads through:
+// same point set. `DistanceView` is the one kernel every tsp routine
+// reads through. It computes geom::distance from the backing points on
+// every probe (batched probes run one geom::simd row kernel), so no
+// O(n²) table is ever built:
 //
+//   * `DistanceView::direct(...)` — a view over raw point spans;
 //   * `DistanceOracle::dispatch_view(ids)` — the combined subspace
-//     {all q depots} ∪ {q + id : id ∈ ids} of one dispatch set, served
-//     from the cache;
-//   * `DistanceView::direct(...)` — the uncached fallback computing
-//     geom::distance on the fly (bit-identical values), used when no
-//     oracle exists for the points at hand.
+//     {all q depots} ∪ {q + id : id ∈ ids} of one dispatch set over a
+//     network's stored points.
 //
-// Both modes produce bit-identical distances, so construction and
-// improvement routines yield *identical* tours either way — the golden
-// tests in tests/tsp/oracle_test.cpp pin that equivalence.
+// Batched and per-probe reads are bit-identical (docs/ALGORITHMS.md §9),
+// so a routine yields identical tours whichever view form it is handed;
+// tests/tsp/oracle_test.cpp pins that equivalence.
 #pragma once
 
 #include <cstddef>
 #include <span>
-#include <utility>
 #include <vector>
 
-#include "geom/distance.hpp"
 #include "geom/point.hpp"
 
 namespace mwc::tsp {
 
-class DistanceOracle;
-
-/// Non-owning distance kernel over an indexed node set. Either backed by
-/// a `DistanceOracle` (cached lookups) or by raw points (direct
-/// geometry). An optional index map re-labels local indices into the
-/// backing space, which is how submatrix/dispatch views avoid copying.
+/// Non-owning distance kernel over an indexed node set backed by raw
+/// points. An optional index map re-labels local indices into the
+/// backing space, which is how subset/dispatch views avoid copying.
 class DistanceView {
  public:
   DistanceView() = default;
 
-  /// Direct-geometry view over a contiguous point span.
+  /// View over a contiguous point span.
   static DistanceView direct(std::span<const geom::Point> points);
 
-  /// Direct-geometry view over the concatenation head ++ tail (the
-  /// QRootedInstance depots-then-sensors layout, without the copy).
+  /// View over the concatenation head ++ tail (the QRootedInstance
+  /// depots-then-sensors layout, without the copy).
   static DistanceView direct(std::span<const geom::Point> head,
                              std::span<const geom::Point> tail);
 
   std::size_t size() const noexcept { return size_; }
   bool empty() const noexcept { return size_ == 0; }
 
-  /// True when reads hit a materialized cache instead of recomputing.
-  bool cached() const noexcept { return oracle_ != nullptr; }
-
   /// Distance between local node indices i and j.
-  double operator()(std::size_t i, std::size_t j) const;
+  double operator()(std::size_t i, std::size_t j) const {
+    return geom::distance(backing_point(map_.empty() ? i : map_[i]),
+                          backing_point(map_.empty() ? j : map_[j]));
+  }
 
-  /// Batched probes: out[k] = (*this)(i, js[k]) for every k. Cached
-  /// views gather from the (SIMD-filled) oracle row; direct views gather
-  /// coordinates and run one geom::simd row kernel. Bit-identical to
-  /// per-probe operator() either way.
+  /// Batched probes: out[k] = (*this)(i, js[k]) for every k. Gathers the
+  /// coordinates and runs one geom::simd row kernel; bit-identical to
+  /// per-probe operator().
   void distances_to(std::size_t i, std::span<const std::size_t> js,
                     double* out) const;
 
@@ -71,13 +63,10 @@ class DistanceView {
 
   /// View over a subset of this view's nodes; `locals[k]` becomes node k
   /// of the returned view. Maps compose, so sub-views of sub-views keep
-  /// reading the same backing storage.
+  /// reading the same backing points.
   DistanceView sub(std::vector<std::size_t> locals) const;
 
  private:
-  friend class DistanceOracle;
-
-  const DistanceOracle* oracle_ = nullptr;
   std::span<const geom::Point> head_;
   std::span<const geom::Point> tail_;
   std::vector<std::size_t> map_;  ///< local -> backing index; empty = identity
@@ -88,71 +77,34 @@ class DistanceView {
   }
 };
 
-/// Per-network pairwise-distance cache over the combined index space:
-/// indices 0..q-1 are the depots, q..q+m-1 the sensors, exactly the
-/// convention of tsp::QRootedInstance. Rows materialize on first touch
-/// (see geom::LazyDistanceMatrix), so building an oracle is O(q + m) and
-/// only probed rows ever pay the O(q + m) fill. Move-only.
+/// A network's points in the combined index space: indices 0..q-1 are the
+/// depots, q..q+m-1 the sensors, exactly the convention of
+/// tsp::QRootedInstance. Stores the O(q + m) points and hands out views
+/// over them; it caches no distances.
 class DistanceOracle {
  public:
   DistanceOracle() = default;
 
-  /// Combined space from separate depot and sensor position lists.
   DistanceOracle(std::span<const geom::Point> depots,
                  std::span<const geom::Point> sensors);
 
-  /// Combined space from an already-concatenated point list whose first
-  /// `num_depots` entries are depots.
-  explicit DistanceOracle(std::vector<geom::Point> points,
-                          std::size_t num_depots = 0);
+  std::size_t size() const noexcept { return points_.size(); }
 
-  std::size_t size() const noexcept { return matrix_.size(); }
-  std::size_t q() const noexcept { return q_; }
-  bool empty() const noexcept { return matrix_.empty(); }
-  std::span<const geom::Point> points() const noexcept {
-    return matrix_.points();
-  }
-
-  /// Cached distance between combined indices (first touch of row i
-  /// materializes it; safe to call concurrently).
-  double operator()(std::size_t i, std::size_t j) const {
-    return matrix_(i, j);
-  }
-
-  /// Combined-space row i as a contiguous span, materializing it (one
-  /// SIMD fill) if needed. What the batched DistanceView probes read.
-  std::span<const double> row(std::size_t i) const { return matrix_.row(i); }
-
-  /// View over the whole combined space.
-  DistanceView view() const;
-
-  /// View over an arbitrary subset of combined indices; `subset[k]`
-  /// becomes node k of the view.
-  DistanceView submatrix(std::vector<std::size_t> subset) const;
+  /// All points in combined order (depots first).
+  std::span<const geom::Point> points() const noexcept { return points_; }
 
   /// View over one dispatch set: all q depots followed by the sensors
   /// with the given ids (combined index q + id), i.e. the exact node
   /// space q_rooted_tsp runs on for that dispatch.
   DistanceView dispatch_view(std::span<const std::size_t> sensor_ids) const;
 
-  /// Eagerly fills all rows (bench warm-up helper).
-  void materialize_all() const { matrix_.materialize_all(); }
-
-  /// Rows materialized so far (cache-occupancy statistic).
-  std::size_t rows_materialized() const noexcept {
-    return matrix_.rows_materialized();
-  }
+  /// Distance rows held in memory: always 0, since every probe reads the
+  /// points directly. Kept for callers that report cache occupancy.
+  std::size_t rows_materialized() const noexcept { return 0; }
 
  private:
   std::size_t q_ = 0;
-  geom::LazyDistanceMatrix matrix_;
+  std::vector<geom::Point> points_;
 };
-
-inline double DistanceView::operator()(std::size_t i, std::size_t j) const {
-  const std::size_t a = map_.empty() ? i : map_[i];
-  const std::size_t b = map_.empty() ? j : map_[j];
-  if (oracle_ != nullptr) return (*oracle_)(a, b);
-  return geom::distance(backing_point(a), backing_point(b));
-}
 
 }  // namespace mwc::tsp

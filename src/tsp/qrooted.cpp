@@ -6,6 +6,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "graph/dsu.hpp"
 #include "graph/mst.hpp"
 #include "obs/obs.hpp"
 #include "tsp/construct.hpp"
@@ -15,24 +16,6 @@
 namespace mwc::tsp {
 
 namespace {
-
-/// Flushes a locally accumulated probe count into the global registry,
-/// split by whether the kernel served them from the materialized oracle
-/// cache ("hits") or recomputed geometry directly ("misses"). One atomic
-/// add per construction call — the probe loops themselves stay
-/// uninstrumented.
-inline void flush_probe_count(const DistanceView& distances,
-                              std::uint64_t probes) {
-  if (distances.cached()) {
-    MWC_OBS_COUNT_N("oracle.probe_hits", probes);
-  } else {
-    MWC_OBS_COUNT_N("oracle.probe_misses", probes);
-  }
-#if !MWC_OBS_ENABLED
-  (void)distances;
-  (void)probes;
-#endif
-}
 
 /// True when `candidates` can actually prune for this view: covers the
 /// combined node space and is not degenerate-complete (the complete graph
@@ -47,9 +30,8 @@ bool prunable(const CandidateGraph* candidates, std::size_t view_size) {
 /// root's star. The star edge to every sensor (its nearest-depot
 /// distance) keeps the pruned graph connected, so a spanning tree always
 /// exists; its weight can only exceed the dense MST's when some true MST
-/// edge joins two sensors that are not mutual-or-one-way candidates —
-/// essentially never on Euclidean instances at k ≈ 10 (pinned by tests,
-/// escape-hatched by verify_against_dense).
+/// edge joins two sensors that are not mutual-or-one-way candidates (see
+/// sensors_connected for the case msf_impl guards against).
 graph::MstResult prim_msf_pruned(const DistanceView& distances, std::size_t q,
                                  const CandidateGraph& cand,
                                  std::span<const double> root_dist,
@@ -134,11 +116,25 @@ graph::MstResult prim_msf_pruned(const DistanceView& distances, std::size_t q,
   return result;
 }
 
-/// Shared core of the dense and pruned MSF entry points: nearest-depot
-/// scan, aux-graph MST (dense or candidate-pruned), un-contract.
+/// True when the candidate edges among sensors (depot entries skipped)
+/// connect all sensors: O(m·k) union-find. The root star reaches every
+/// sensor, so pruned Prim spans a disconnected candidate graph too, but
+/// it can then join two components only through the root even where a
+/// short non-candidate edge exists: a cluster of more than k coincident
+/// sensors has no candidate edge leaving it.
+bool sensors_connected(const CandidateGraph& cand, std::size_t q) {
+  const std::size_t m = cand.size() - q;
+  graph::Dsu dsu(m);
+  for (std::size_t k = 0; k < m && dsu.num_sets() > 1; ++k)
+    for (const std::size_t c : cand.neighbors(q + k))
+      if (c >= q) dsu.unite(k, c - q);
+  return dsu.num_sets() == 1;
+}
+
+/// Shared core of the dense and pruned MSF: nearest-depot scan, aux-graph
+/// MST (dense or candidate-pruned), un-contract.
 QRootedForest msf_impl(const DistanceView& distances, std::size_t q,
-                       const CandidateGraph* candidates,
-                       bool verify_against_dense) {
+                       const CandidateGraph* candidates) {
   MWC_OBS_SCOPE("tsp.q_rooted_msf");
   MWC_ASSERT_MSG(q >= 1, "q-rooted MSF needs at least one depot");
   MWC_ASSERT(q <= distances.size());
@@ -166,12 +162,10 @@ QRootedForest msf_impl(const DistanceView& distances, std::size_t q,
   std::vector<std::size_t> nearest_depot(m, 0);
   {
     // Depot-major, cache-blocked scan: one batched row probe per
-    // (depot, sensor-block) instead of m per-sensor depot loops. In
-    // oracle mode this materializes the q depot rows rather than all m
-    // sensor rows (the entire matrix); distances are symmetric
-    // bit-for-bit, so probing (l, q+k) equals the seed's (q+k, l), and
-    // merging depots in ascending order with strict < keeps the seed's
-    // first-minimal-depot tie-breaking.
+    // (depot, sensor-block) instead of m per-sensor depot loops.
+    // Distances are symmetric bit-for-bit, so probing (l, q+k) equals the
+    // seed's (q+k, l), and merging depots in ascending order with strict
+    // < keeps the seed's first-minimal-depot tie-breaking.
     constexpr std::size_t kBlock = 4096;
     std::vector<std::size_t> sensor_ids(m);
     for (std::size_t k = 0; k < m; ++k) sensor_ids[k] = q + k;
@@ -201,21 +195,15 @@ QRootedForest msf_impl(const DistanceView& distances, std::size_t q,
   };
 
   graph::MstResult mst;
-  if (prunable(candidates, distances.size())) {
+  const bool pruned = prunable(candidates, distances.size());
+  if (pruned && sensors_connected(*candidates, q)) {
     mst = prim_msf_pruned(distances, q, *candidates, root_dist, probes,
                           cand_evals);
-    if (verify_against_dense) {
-      auto dense = graph::prim_mst_with(m + 1, aux_dist, /*root=*/0);
-      if (mst.total_weight >
-          dense.total_weight * (1.0 + 1e-12) + 1e-9) {
-        MWC_OBS_COUNT("tsp.msf_prune_fallbacks");
-        mst = std::move(dense);
-      }
-    }
   } else {
+    if (pruned) MWC_OBS_COUNT("tsp.msf_dense_fallbacks");
     mst = graph::prim_mst_with(m + 1, aux_dist, /*root=*/0);
   }
-  flush_probe_count(distances, probes);
+  MWC_OBS_COUNT_N("oracle.probes", probes);
   MWC_OBS_COUNT_N("tsp.cand.hits", cand_evals);
 
   // Un-contract: an MST edge (0, k) becomes (nearest_depot[k-1], sensor).
@@ -289,14 +277,9 @@ QRootedForest q_rooted_msf(const QRootedInstance& instance) {
   return q_rooted_msf(instance.distances(), instance.q());
 }
 
-QRootedForest q_rooted_msf(const DistanceView& distances, std::size_t q) {
-  return msf_impl(distances, q, nullptr, false);
-}
-
 QRootedForest q_rooted_msf(const DistanceView& distances, std::size_t q,
-                           const CandidateGraph* candidates,
-                           bool verify_against_dense) {
-  return msf_impl(distances, q, candidates, verify_against_dense);
+                           const CandidateGraph* candidates) {
+  return msf_impl(distances, q, candidates);
 }
 
 QRootedForest repair_q_rooted_msf(const DistanceView& distances,
@@ -475,7 +458,7 @@ QRootedForest repair_q_rooted_msf(const DistanceView& distances,
       }
     }
   }
-  flush_probe_count(distances, probes);
+  MWC_OBS_COUNT_N("oracle.probes", probes);
   MWC_OBS_COUNT_N("tsp.cand.hits", cand_evals);
 
   // Un-contract in the dirty subspace: sensors attached to aux node 0
@@ -546,19 +529,6 @@ QRootedForest repair_q_rooted_msf(const DistanceView& distances,
 
 QRootedTours q_rooted_tsp(const QRootedInstance& instance,
                           const QRootedOptions& options) {
-  // Build the candidate graph on demand only on the explicit candidate_msf
-  // opt-in: plain `improve` must stay bit-exact with the DistanceView
-  // overload (the GoldenEquivalence contract), which has no geometry to
-  // build a graph from. Callers wanting candidate-mode polish alone pass
-  // their own graph (as the simulator does).
-  if (options.candidate_msf && options.candidates == nullptr) {
-    const auto combined = instance.points().materialize();
-    const auto graph = CandidateGraph::build(combined,
-                                             options.candidate_options);
-    QRootedOptions with_graph = options;
-    with_graph.candidates = &graph;
-    return q_rooted_tsp(instance.distances(), instance.q(), with_graph);
-  }
   return q_rooted_tsp(instance.distances(), instance.q(), options);
 }
 
@@ -566,11 +536,7 @@ QRootedTours q_rooted_tsp(const DistanceView& distances, std::size_t q,
                           const QRootedOptions& options,
                           ThreadPool* polish_pool) {
   MWC_OBS_SCOPE("tsp.q_rooted_tsp");
-  auto forest =
-      options.candidate_msf
-          ? q_rooted_msf(distances, q, options.candidates,
-                         options.verify_candidate_msf)
-          : q_rooted_msf(distances, q);
+  auto forest = q_rooted_msf(distances, q, options.candidates);
 
   QRootedTours result;
   result.tours.reserve(forest.trees.size());

@@ -20,9 +20,10 @@
 // only relaxes candidate sensor-sensor edges plus the virtual root's star
 // (nearest-depot distance to every sensor, which keeps the pruned graph
 // connected), and the polishers scan only candidate edges — the tour
-// pipeline drops from O(n²) to O(n·k). The dense paths remain and serve
-// as the golden reference; a complete candidate graph dispatches to them
-// for bit-identical results.
+// pipeline drops from O(n²) to O(n·k). sim::Simulator always supplies a
+// graph. The dense paths remain as the golden reference and as the MSF's
+// fallback when the candidate edges leave the sensors disconnected; a
+// complete candidate graph dispatches to them for bit-identical results.
 #pragma once
 
 #include <cstddef>
@@ -139,26 +140,27 @@ struct QRootedForest {
   double total_weight = 0.0;
 };
 
-/// Exact q-rooted MSF (Algorithm 1). Requires q >= 1. O((q + m)^2).
+/// Exact q-rooted MSF (Algorithm 1) by dense Prim over the contracted
+/// complete graph: the reference the candidate-pruned MSF is tested
+/// against. Requires q >= 1.
 QRootedForest q_rooted_msf(const QRootedInstance& instance);
 
 /// Exact q-rooted MSF over any distance kernel whose combined node space
 /// has nodes 0..q-1 as depots (e.g. a DistanceOracle::dispatch_view).
-/// Bit-exact with the instance overload for equal distances.
-QRootedForest q_rooted_msf(const DistanceView& distances, std::size_t q);
-
-/// Candidate-pruned q-rooted MSF: Prim relaxes only candidate
-/// sensor-sensor edges plus the virtual root's nearest-depot star, via a
-/// lazy binary heap — O((m·k + m) log m) instead of O(m²). `candidates`
-/// must cover the combined node space; null or complete() dispatches to
-/// the dense sweep (bit-identical). With `verify_against_dense` the dense
-/// forest is also computed and silently substituted (counting one
-/// `tsp.msf_prune_fallbacks`) whenever the pruned weight exceeds it — the
-/// correctness escape hatch; tests pin weight equality on Euclidean
-/// instances at k ≈ 10.
+///
+/// With a usable `candidates` graph (covering the combined space, not
+/// complete()), Prim relaxes only candidate sensor-sensor edges plus the
+/// virtual root's nearest-depot star through a lazy binary heap:
+/// O((m·k + m) log m) time, O(m·k) memory. That forest is exact whenever
+/// every MST edge of the contracted graph is a candidate or root-star
+/// edge. When the sensors' candidate edges leave them disconnected (e.g.
+/// more than k coincident sensors), some component could only be joined
+/// through a non-candidate edge, so the call runs dense Prim over the
+/// same view instead (O(m) memory) and counts `tsp.msf_dense_fallbacks`.
+/// Without a usable graph it is dense Prim, bit-exact with the instance
+/// overload.
 QRootedForest q_rooted_msf(const DistanceView& distances, std::size_t q,
-                           const CandidateGraph* candidates,
-                           bool verify_against_dense = false);
+                           const CandidateGraph* candidates = nullptr);
 
 /// Dirty-region repair of a q-rooted MSF. The base forest must live in
 /// the *current* combined node space (when a patch removed/added nodes,
@@ -232,29 +234,18 @@ struct QRootedOptions {
   /// `candidates` graph below, so one graph drives both stages.
   ImproveOptions improve_options;
 
-  /// Route the MSF through the candidate-pruned Prim (requires a usable
-  /// `candidates` graph, else silently dense).
-  bool candidate_msf = false;
-
-  /// Escape hatch for candidate_msf: cross-check against the dense forest
-  /// and fall back when the pruned weight is worse.
-  bool verify_candidate_msf = false;
-
   /// Shared k-nearest-neighbor graph over the *combined* node space
-  /// (depots + sensors). Non-owning; null means "dense everywhere",
-  /// except that the instance overload builds one on demand when
-  /// candidate_msf explicitly opts in (plain `improve` stays bit-exact
-  /// with the DistanceView overload, which has no geometry to build
-  /// from — supply a graph to get candidate-mode polish there).
+  /// (depots + sensors). Non-owning. When set, the MSF runs
+  /// candidate-pruned Prim and the polisher inherits the graph; null runs
+  /// the dense reference paths.
   const CandidateGraph* candidates = nullptr;
 
-  /// Build parameters for the on-demand graph of the instance overload.
+  /// Build parameters for the graphs sim::Simulator builds per network
+  /// and per dispatch set.
   CandidateOptions candidate_options;
 };
 
-/// 2-approximate q-rooted TSP (Algorithm 2). Requires q >= 1. Builds a
-/// CandidateGraph over the combined points on demand when `options`
-/// opts into candidate_msf without supplying one.
+/// 2-approximate q-rooted TSP (Algorithm 2). Requires q >= 1.
 QRootedTours q_rooted_tsp(const QRootedInstance& instance,
                           const QRootedOptions& options = {});
 

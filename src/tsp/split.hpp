@@ -34,7 +34,7 @@ struct SplitResult {
 };
 
 // Each splitter exists in two forms: the DistanceView form is the
-// implementation (one distance kernel, cached or direct), the point-span
+// implementation (one distance kernel), the point-span
 // form wraps it in a direct-geometry view. Results are bit-identical.
 
 /// Splits `tour` (a closed tour that visits `root`) into subtours of

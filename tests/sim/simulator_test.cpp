@@ -7,6 +7,8 @@
 
 #include "charging/greedy.hpp"
 #include "charging/min_total_distance.hpp"
+#include "obs/obs.hpp"
+#include "obs/registry.hpp"
 #include "util/rng.hpp"
 #include "wsn/deployment.hpp"
 
@@ -304,48 +306,11 @@ TEST(Simulator, ResultCountersMatchMetricsRegistry) {
   EXPECT_EQ(simulator.tour_cache_misses(), first.tour_cache_misses);
 }
 
-TEST(Simulator, PrecostPolicyWarmsCache) {
-  const auto net = test_network(30, 3, 15);
-  const auto cycles = fixed_cycles(net, 1.0, 20.0, 15);
-  SimOptions options;
-  options.horizon = 100.0;
-  Simulator simulator(net, cycles, options);
-  charging::MinTotalDistancePolicy policy;
-
-  ThreadPool pool(4);
-  const std::size_t computed = simulator.precost_policy(policy, &pool);
-  EXPECT_EQ(computed, policy.partition().K + 1);
-  // Re-precosting finds everything cached.
-  EXPECT_EQ(simulator.precost_policy(policy, &pool), 0u);
-
-  const auto result = simulator.run(policy);
-  EXPECT_EQ(result.tour_cache_misses, 0u);
-  EXPECT_EQ(result.tour_cache_hits, result.num_dispatches);
-
-  // Pre-warming must not change any outcome versus a cold simulator.
-  charging::MinTotalDistancePolicy cold_policy;
-  const auto cold = Simulator(net, cycles, options).run(cold_policy);
-  EXPECT_EQ(result.service_cost, cold.service_cost);
-  EXPECT_EQ(result.num_dispatches, cold.num_dispatches);
-}
-
-TEST(Simulator, PrecostDispatchesDeduplicates) {
-  const auto net = test_network(12, 2, 16);
-  const auto cycles = fixed_cycles(net, 5.0, 10.0, 16);
-  SimOptions options;
-  options.horizon = 50.0;
-  Simulator simulator(net, cycles, options);
-  const std::vector<std::vector<std::size_t>> sets = {
-      {0, 1, 2}, {3, 4}, {0, 1, 2}, {}};
-  EXPECT_EQ(simulator.precost_dispatches(sets), 2u);
-  EXPECT_EQ(simulator.precost_dispatches(sets), 0u);
-}
-
 TEST(Simulator, CandidateAccelerationStaysNearExhaustive) {
   // One full dispatch (exercises the shared full-space candidate graph)
   // plus one proper subset (exercises the per-dispatch subspace graph);
   // candidate-mode costs must stay within 1% of the exhaustive-polish
-  // reference, and the verified pruned MSF keeps tours covering.
+  // reference.
   const auto net = test_network(40, 2, 7);
   const auto cycles = fixed_cycles(net, 50.0, 50.0, 7);
   std::vector<std::size_t> all(40);
@@ -361,8 +326,6 @@ TEST(Simulator, CandidateAccelerationStaysNearExhaustive) {
 
   SimOptions candidate = exhaustive;
   candidate.tour_options.improve_options.exhaustive = false;
-  candidate.tour_options.candidate_msf = true;
-  candidate.tour_options.verify_candidate_msf = true;
 
   Simulator sim_exhaustive(net, cycles, exhaustive);
   Simulator sim_candidate(net, cycles, candidate);
@@ -372,6 +335,33 @@ TEST(Simulator, CandidateAccelerationStaysNearExhaustive) {
   const auto accelerated = sim_candidate.run(policy_candidate);
   EXPECT_GT(accelerated.service_cost, 0.0);
   EXPECT_LE(accelerated.service_cost, reference.service_cost * 1.01);
+}
+
+TEST(Simulator, CostsRoundsWithPrunedMsf) {
+  // With default options every round runs candidate-pruned Prim, and on a
+  // Euclidean field it reproduces the dense reference's tours exactly.
+  const auto net = test_network(120, 3, 17);
+  const auto cycles = fixed_cycles(net, 1.0, 20.0, 17);
+  SimOptions options;
+  options.horizon = 60.0;
+  options.record_dispatches = true;
+  auto& hits = obs::Registry::global().counter("tsp.cand.hits");
+  const auto hits_before = hits.value();
+  Simulator simulator(net, cycles, options);
+  charging::MinTotalDistancePolicy policy;
+  const auto result = simulator.run(policy);
+  ASSERT_FALSE(result.dispatch_log.empty());
+  if (MWC_OBS_ENABLED != 0) {
+    EXPECT_GT(hits.value(), hits_before);
+  }
+
+  for (const auto& record : result.dispatch_log) {
+    const auto pruned = simulator.dispatch_tours(record.sensors);
+    const auto dense = tsp::q_rooted_tsp(
+        simulator.oracle().dispatch_view(record.sensors), net.q());
+    EXPECT_EQ(pruned.total_length, record.cost);
+    EXPECT_EQ(pruned.total_length, dense.total_length);
+  }
 }
 
 TEST(SimulatorDeath, PastDispatchAborts) {

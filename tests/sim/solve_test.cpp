@@ -22,12 +22,11 @@ wsn::Network small_network(std::uint64_t seed = 3) {
   return wsn::deploy_random(config, rng);
 }
 
-TEST(SolveNetwork, FirstRoundMatchesDispatchLog) {
-  const wsn::Network network = small_network();
-  const wsn::CycleModel cycles(network, wsn::CycleModelConfig{}, 11);
-  SimOptions options;
-  options.horizon = 300.0;
-
+/// Solves and checks that the served first round is the round the
+/// simulator costed.
+void expect_first_round_matches_log(const wsn::Network& network,
+                                    const wsn::CycleProcess& cycles,
+                                    const SimOptions& options) {
   charging::MinTotalDistancePolicy policy;
   const SolveOutcome outcome =
       solve_network(network, cycles, options, policy);
@@ -57,6 +56,34 @@ TEST(SolveNetwork, FirstRoundMatchesDispatchLog) {
   std::sort(covered.begin(), covered.end());
   std::sort(expected.begin(), expected.end());
   EXPECT_EQ(covered, expected);
+}
+
+TEST(SolveNetwork, FirstRoundMatchesDispatchLog) {
+  {
+    SCOPED_TRACE("n=30, improve off");
+    const wsn::Network network = small_network();
+    const wsn::CycleModel cycles(network, wsn::CycleModelConfig{}, 11);
+    SimOptions options;
+    options.horizon = 300.0;
+    expect_first_round_matches_log(network, cycles, options);
+  }
+  {
+    // Tours well above candidate_min_nodes, so the costing polished them
+    // in candidate mode; the served round must be polished the same way.
+    SCOPED_TRACE("n=400, improve on");
+    wsn::DeploymentConfig config;
+    config.n = 400;
+    config.q = 3;
+    Rng rng(5, 0);
+    const wsn::Network network = wsn::deploy_random(config, rng);
+    wsn::CycleModelConfig fixed;
+    fixed.tau_min = fixed.tau_max = 5.0;
+    const wsn::CycleModel cycles(network, fixed, 5);
+    SimOptions options;
+    options.horizon = 20.0;
+    options.tour_options.improve = true;
+    expect_first_round_matches_log(network, cycles, options);
+  }
 }
 
 TEST(SolveNetwork, DeterministicAcrossCalls) {

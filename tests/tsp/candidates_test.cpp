@@ -1,8 +1,8 @@
 // CandidateGraph unit tests plus the candidate-vs-exhaustive golden
 // suite: candidate-mode local search must stay within 1% of the
 // exhaustive sweep's tour length, be bit-identical when k >= n (complete
-// graph), and the candidate-pruned q-rooted MSF must match the dense
-// Prim's forest weight exactly on Euclidean instances.
+// graph), and the candidate-pruned q-rooted MSF must reproduce dense
+// Prim's forest edge for edge, in order, on Euclidean instances.
 #include "tsp/candidates.hpp"
 
 #include <gtest/gtest.h>
@@ -11,11 +11,14 @@
 #include <cstddef>
 #include <vector>
 
+#include "charging/min_total_distance.hpp"
 #include "geom/distance.hpp"
-#include "tsp/oracle.hpp"
+#include "sim/simulator.hpp"
 #include "tsp/qrooted.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
+#include "wsn/cycles.hpp"
+#include "wsn/deployment.hpp"
 
 namespace mwc::tsp {
 namespace {
@@ -123,7 +126,7 @@ class CandidateGolden
 TEST_P(CandidateGolden, ImprovedToursWithinOnePercent) {
   const auto [n, q] = GetParam();
   const auto instance = random_instance(n, q, 700 + n + q);
-  const DistanceOracle oracle(instance.depots, instance.sensors);
+  const auto view = instance.distances();
   const auto combined = instance.points().materialize();
   const auto graph = CandidateGraph::build(combined);
 
@@ -134,13 +137,11 @@ TEST_P(CandidateGolden, ImprovedToursWithinOnePercent) {
   QRootedOptions candidate;
   candidate.improve = true;
   candidate.candidates = &graph;
-  candidate.candidate_msf = true;
-  candidate.verify_candidate_msf = true;
 
   // Exhaustive polish at n=800 costs O(n²) per pass; one reference run
   // per grid point keeps the suite fast enough for CI.
-  const auto reference = q_rooted_tsp(oracle.view(), q, exhaustive);
-  const auto accelerated = q_rooted_tsp(oracle.view(), q, candidate);
+  const auto reference = q_rooted_tsp(view, q, exhaustive);
+  const auto accelerated = q_rooted_tsp(view, q, candidate);
 
   ASSERT_EQ(accelerated.tours.size(), reference.tours.size());
   EXPECT_TRUE(covers_all_sensors(instance, accelerated));
@@ -152,7 +153,7 @@ TEST_P(CandidateGolden, CompleteGraphBitIdenticalToExhaustive) {
   const auto [n, q] = GetParam();
   if (n > 100) GTEST_SKIP() << "exhaustive at n=800 is slow; covered below";
   const auto instance = random_instance(n, q, 900 + n + q);
-  const DistanceOracle oracle(instance.depots, instance.sensors);
+  const auto view = instance.distances();
   const auto combined = instance.points().materialize();
 
   CandidateOptions options;
@@ -167,34 +168,13 @@ TEST_P(CandidateGolden, CompleteGraphBitIdenticalToExhaustive) {
   QRootedOptions candidate;
   candidate.improve = true;
   candidate.candidates = &graph;
-  candidate.candidate_msf = true;
 
-  const auto a = q_rooted_tsp(oracle.view(), q, exhaustive);
-  const auto b = q_rooted_tsp(oracle.view(), q, candidate);
+  const auto a = q_rooted_tsp(view, q, exhaustive);
+  const auto b = q_rooted_tsp(view, q, candidate);
   ASSERT_EQ(a.tours.size(), b.tours.size());
   for (std::size_t l = 0; l < a.tours.size(); ++l)
     EXPECT_EQ(a.tours[l].order(), b.tours[l].order()) << "tour " << l;
   EXPECT_EQ(a.total_length, b.total_length);  // bit-exact
-}
-
-TEST_P(CandidateGolden, PrunedMsfWeightEqualsDensePrim) {
-  const auto [n, q] = GetParam();
-  const auto instance = random_instance(n, q, 1100 + n + q);
-  const DistanceOracle oracle(instance.depots, instance.sensors);
-  const auto combined = instance.points().materialize();
-  const auto graph = CandidateGraph::build(combined);
-
-  const auto dense = q_rooted_msf(oracle.view(), q);
-  const auto pruned = q_rooted_msf(oracle.view(), q, &graph);
-  ASSERT_EQ(pruned.trees.size(), dense.trees.size());
-  // The escape hatch is *verification*, not approximation: on Euclidean
-  // instances at k = 10 the candidate graph contains every MSF edge, so
-  // the forests weigh exactly the same.
-  EXPECT_DOUBLE_EQ(pruned.total_weight, dense.total_weight);
-
-  // And with the verify escape hatch on, equality holds by construction.
-  const auto verified = q_rooted_msf(oracle.view(), q, &graph, true);
-  EXPECT_DOUBLE_EQ(verified.total_weight, dense.total_weight);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -204,21 +184,101 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(std::size_t{1}, std::size_t{3},
                                          std::size_t{10})));
 
+// ---------------------------------------------------------------------------
+// Pruned MSF golden: candidate-pruned Prim (the production MSF) against
+// the dense Prim reference, edge for edge and in insertion order.
+
+/// Pruned and dense forests over `view` agree edge for edge: same trees,
+/// same edge order, same endpoints, bit-identical weights.
+void expect_same_forest(const DistanceView& view, std::size_t q,
+                        const CandidateGraph& graph) {
+  const auto dense = q_rooted_msf(view, q);
+  const auto pruned = q_rooted_msf(view, q, &graph);
+  ASSERT_EQ(pruned.trees.size(), dense.trees.size());
+  EXPECT_EQ(pruned.total_weight, dense.total_weight);
+  for (std::size_t l = 0; l < dense.trees.size(); ++l) {
+    const auto& a = pruned.trees[l].edges();
+    const auto& b = dense.trees[l].edges();
+    ASSERT_EQ(a.size(), b.size()) << "tree " << l;
+    for (std::size_t e = 0; e < b.size(); ++e) {
+      EXPECT_EQ(a[e].u, b[e].u) << "tree " << l << " edge " << e;
+      EXPECT_EQ(a[e].v, b[e].v) << "tree " << l << " edge " << e;
+      EXPECT_EQ(a[e].w, b[e].w) << "tree " << l << " edge " << e;
+    }
+  }
+}
+
+class PrunedMsfGolden
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {
+};
+
+TEST_P(PrunedMsfGolden, EdgesEqualDensePrim) {
+  const auto [n, q] = GetParam();
+  const auto instance = random_instance(n, q, 1100 + n + q);
+  const auto graph = CandidateGraph::build(instance.points().materialize());
+  expect_same_forest(instance.distances(), q, graph);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SizeGrid, PrunedMsfGolden,
+    ::testing::Combine(::testing::Values(std::size_t{10}, std::size_t{100},
+                                         std::size_t{800}, std::size_t{2000}),
+                       ::testing::Values(std::size_t{1}, std::size_t{3},
+                                         std::size_t{10})));
+
+INSTANTIATE_TEST_SUITE_P(
+    Large, PrunedMsfGolden,
+    ::testing::Values(std::make_tuple(std::size_t{10000}, std::size_t{5})));
+
+TEST(PrunedMsfGolden, MinTotalDistanceDispatchSets) {
+  // The sets the service actually costs: the distinct rounds
+  // MinTotalDistance dispatches over a spread-cycle field, each with the
+  // per-set graph the simulator builds for it.
+  wsn::DeploymentConfig config;
+  config.n = 2000;
+  config.q = 5;
+  Rng rng(21, 0);
+  const wsn::Network network = wsn::deploy_random(config, rng);
+  const wsn::CycleModel cycles(network, wsn::CycleModelConfig{}, 21);
+  sim::SimOptions options;
+  options.horizon = 200.0;
+  options.record_dispatches = true;
+  charging::MinTotalDistancePolicy policy;
+  const auto result = sim::Simulator(network, cycles, options).run(policy);
+
+  std::vector<std::vector<std::size_t>> sets;
+  for (const auto& d : result.dispatch_log) sets.push_back(d.sensors);
+  std::sort(sets.begin(), sets.end());
+  sets.erase(std::unique(sets.begin(), sets.end()), sets.end());
+  ASSERT_GE(sets.size(), 3u);
+
+  const DistanceOracle oracle(network.depots(), network.sensor_points());
+  std::size_t proper_subsets = 0;
+  for (const auto& ids : sets) {
+    if (ids.size() < network.n()) ++proper_subsets;
+    std::vector<geom::Point> points(network.depots());
+    for (const std::size_t id : ids)
+      points.push_back(network.sensor_points()[id]);
+    SCOPED_TRACE(ids.size());
+    expect_same_forest(oracle.dispatch_view(ids), network.q(),
+                       CandidateGraph::build(points));
+  }
+  EXPECT_GE(proper_subsets, 2u);
+}
+
 TEST(ParallelPolish, PoolMatchesSerialBitExact) {
   const auto instance = random_instance(200, 4, 42);
-  const DistanceOracle oracle(instance.depots, instance.sensors);
+  const auto view = instance.distances();
   const auto combined = instance.points().materialize();
   const auto graph = CandidateGraph::build(combined);
 
   QRootedOptions options;
   options.improve = true;
   options.candidates = &graph;
-  options.candidate_msf = true;
 
-  const auto serial = q_rooted_tsp(oracle.view(), instance.q(), options);
+  const auto serial = q_rooted_tsp(view, instance.q(), options);
   ThreadPool pool(4);
-  const auto parallel =
-      q_rooted_tsp(oracle.view(), instance.q(), options, &pool);
+  const auto parallel = q_rooted_tsp(view, instance.q(), options, &pool);
   ASSERT_EQ(serial.tours.size(), parallel.tours.size());
   for (std::size_t l = 0; l < serial.tours.size(); ++l)
     EXPECT_EQ(serial.tours[l].order(), parallel.tours[l].order());

@@ -1,13 +1,13 @@
-// Golden-equivalence suite for the shared distance oracle: every tsp
-// routine must produce *bit-identical* output whether distances come from
-// the oracle's cache or from direct geometry. The simulator's costing
-// correctness rests on this equivalence.
+// Golden-equivalence suite for the distance kernel: every tsp routine must
+// produce *bit-identical* output whether it reads a network's dispatch
+// view (an index-mapped view over the combined points) or an instance's
+// own head/tail view, and batched probes must equal per-probe reads. The
+// simulator's costing correctness rests on this equivalence.
 #include "tsp/oracle.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <thread>
 #include <vector>
 
 #include "geom/distance.hpp"
@@ -39,6 +39,14 @@ DistanceOracle oracle_for(const QRootedInstance& instance) {
   return DistanceOracle(instance.depots, instance.sensors);
 }
 
+/// The oracle's view of the dispatch that charges every sensor.
+DistanceView full_view(const DistanceOracle& oracle,
+                       const QRootedInstance& instance) {
+  std::vector<std::size_t> ids(instance.m());
+  for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = i;
+  return oracle.dispatch_view(ids);
+}
+
 void expect_same_tours(const QRootedTours& a, const QRootedTours& b) {
   ASSERT_EQ(a.tours.size(), b.tours.size());
   for (std::size_t l = 0; l < a.tours.size(); ++l)
@@ -50,23 +58,24 @@ TEST(DistanceView, DirectMatchesGeometry) {
   const auto instance = random_instance(20, 3, 1);
   const auto view = instance.distances();
   ASSERT_EQ(view.size(), instance.total_nodes());
-  EXPECT_FALSE(view.cached());
   for (std::size_t i = 0; i < view.size(); ++i)
     for (std::size_t j = 0; j < view.size(); ++j)
       EXPECT_EQ(view(i, j),
                 geom::distance(instance.point(i), instance.point(j)));
 }
 
-TEST(DistanceOracle, MatchesDirectGeometryBitExact) {
+TEST(DistanceOracle, HoldsPointsOnly) {
   const auto instance = random_instance(50, 4, 2);
   const auto oracle = oracle_for(instance);
-  const auto cached = oracle.view();
+  ASSERT_EQ(oracle.size(), instance.total_nodes());
+  EXPECT_EQ(oracle.rows_materialized(), 0u);
+  const auto full = full_view(oracle, instance);
   const auto direct = instance.distances();
-  ASSERT_EQ(cached.size(), direct.size());
-  EXPECT_TRUE(cached.cached());
-  for (std::size_t i = 0; i < cached.size(); ++i)
-    for (std::size_t j = 0; j < cached.size(); ++j)
-      EXPECT_EQ(cached(i, j), direct(i, j));
+  ASSERT_EQ(full.size(), direct.size());
+  for (std::size_t i = 0; i < full.size(); ++i)
+    for (std::size_t j = 0; j < full.size(); ++j)
+      EXPECT_EQ(full(i, j), direct(i, j));
+  EXPECT_EQ(oracle.rows_materialized(), 0u);
 }
 
 TEST(DistanceOracle, SubviewAndDispatchViewRelabel) {
@@ -99,40 +108,31 @@ TEST(DistanceOracle, SubviewAndDispatchViewRelabel) {
       EXPECT_EQ(sub(a, b), view(locals[a], locals[b]));
 }
 
-TEST(LazyDistanceMatrix, MaterializesRowsOnDemand) {
-  const auto instance = random_instance(16, 1, 4);
+TEST(DistanceView, BatchedProbesMatchPerProbe) {
+  const auto instance = random_instance(40, 3, 4);
   const auto oracle = oracle_for(instance);
-  EXPECT_EQ(oracle.rows_materialized(), 0u);
-  (void)oracle(3, 5);
-  EXPECT_EQ(oracle.rows_materialized(), 1u);
-  (void)oracle(3, 7);  // same row: no new materialization
-  EXPECT_EQ(oracle.rows_materialized(), 1u);
-  oracle.materialize_all();
-  EXPECT_EQ(oracle.rows_materialized(), oracle.size());
-}
-
-TEST(LazyDistanceMatrix, ConcurrentFirstTouchesAgree) {
-  const auto instance = random_instance(64, 2, 5);
-  const auto oracle = oracle_for(instance);
-  const auto direct = instance.distances();
-  std::vector<std::thread> threads;
-  std::vector<int> ok(8, 0);
-  for (std::size_t t = 0; t < 8; ++t) {
-    threads.emplace_back([&, t] {
-      int good = 1;
-      for (std::size_t i = 0; i < oracle.size(); ++i)
-        for (std::size_t j = 0; j < oracle.size(); ++j)
-          if (oracle(i, j) != direct(i, j)) good = 0;
-      ok[t] = good;
-    });
+  const std::vector<std::size_t> ids = {1, 5, 8, 13, 21, 34, 39};
+  const auto view = oracle.dispatch_view(ids);
+  std::vector<std::size_t> all(view.size());
+  for (std::size_t k = 0; k < all.size(); ++k) all[k] = k;
+  std::vector<double> row(all.size());
+  for (std::size_t i = 0; i < view.size(); ++i) {
+    view.distances_to(i, all, row.data());
+    for (std::size_t j = 0; j < view.size(); ++j) EXPECT_EQ(row[j], view(i, j));
   }
-  for (auto& th : threads) th.join();
-  for (int good : ok) EXPECT_EQ(good, 1);
+  std::vector<std::size_t> as, bs;
+  for (std::size_t i = 0; i < view.size(); ++i) {
+    as.push_back(i);
+    bs.push_back(view.size() - 1 - i);
+  }
+  std::vector<double> pairs(as.size());
+  view.distances_pairs(as, bs, pairs.data());
+  for (std::size_t k = 0; k < as.size(); ++k)
+    EXPECT_EQ(pairs[k], view(as[k], bs[k]));
 }
 
-// The tentpole guarantee: the oracle-backed pipeline produces the exact
-// tours of the direct-geometry pipeline on randomized instances across
-// the full size/depot grid.
+// The dispatch-view pipeline produces the exact tours of the instance
+// pipeline on randomized instances across the full size/depot grid.
 using GoldenParam = std::tuple<std::size_t, std::size_t>;  // (n, q)
 
 class GoldenEquivalence : public ::testing::TestWithParam<GoldenParam> {};
@@ -143,15 +143,15 @@ TEST_P(GoldenEquivalence, MsfIdentical) {
   const auto oracle = oracle_for(instance);
 
   const auto direct = q_rooted_msf(instance);
-  const auto cached = q_rooted_msf(oracle.view(), q);
-  ASSERT_EQ(direct.trees.size(), cached.trees.size());
-  EXPECT_EQ(direct.total_weight, cached.total_weight);
+  const auto mapped = q_rooted_msf(full_view(oracle, instance), q);
+  ASSERT_EQ(direct.trees.size(), mapped.trees.size());
+  EXPECT_EQ(direct.total_weight, mapped.total_weight);
   for (std::size_t l = 0; l < direct.trees.size(); ++l) {
-    ASSERT_EQ(direct.trees[l].edges().size(), cached.trees[l].edges().size());
+    ASSERT_EQ(direct.trees[l].edges().size(), mapped.trees[l].edges().size());
     for (std::size_t e = 0; e < direct.trees[l].edges().size(); ++e) {
-      EXPECT_EQ(direct.trees[l].edges()[e].u, cached.trees[l].edges()[e].u);
-      EXPECT_EQ(direct.trees[l].edges()[e].v, cached.trees[l].edges()[e].v);
-      EXPECT_EQ(direct.trees[l].edges()[e].w, cached.trees[l].edges()[e].w);
+      EXPECT_EQ(direct.trees[l].edges()[e].u, mapped.trees[l].edges()[e].u);
+      EXPECT_EQ(direct.trees[l].edges()[e].v, mapped.trees[l].edges()[e].v);
+      EXPECT_EQ(direct.trees[l].edges()[e].w, mapped.trees[l].edges()[e].w);
     }
   }
 }
@@ -161,7 +161,7 @@ TEST_P(GoldenEquivalence, DoubleTreeToursIdentical) {
   const auto instance = random_instance(n, q, 200 + n + q);
   const auto oracle = oracle_for(instance);
   expect_same_tours(q_rooted_tsp(instance),
-                    q_rooted_tsp(oracle.view(), q));
+                    q_rooted_tsp(full_view(oracle, instance), q));
 }
 
 TEST_P(GoldenEquivalence, ImprovedToursIdentical) {
@@ -172,7 +172,7 @@ TEST_P(GoldenEquivalence, ImprovedToursIdentical) {
   QRootedOptions options;
   options.improve = true;
   expect_same_tours(q_rooted_tsp(instance, options),
-                    q_rooted_tsp(oracle.view(), q, options));
+                    q_rooted_tsp(full_view(oracle, instance), q, options));
 }
 
 TEST_P(GoldenEquivalence, ChristofidesToursIdentical) {
@@ -182,7 +182,7 @@ TEST_P(GoldenEquivalence, ChristofidesToursIdentical) {
   QRootedOptions options;
   options.construction = TourConstruction::kChristofides;
   expect_same_tours(q_rooted_tsp(instance, options),
-                    q_rooted_tsp(oracle.view(), q, options));
+                    q_rooted_tsp(full_view(oracle, instance), q, options));
 }
 
 TEST_P(GoldenEquivalence, SplitsIdentical) {
@@ -190,18 +190,18 @@ TEST_P(GoldenEquivalence, SplitsIdentical) {
   const auto instance = random_instance(n, q, 500 + n + q);
   const auto oracle = oracle_for(instance);
   const auto points = instance.points().materialize();
-  const auto cached = oracle.view();
+  const auto mapped = full_view(oracle, instance);
   const auto tours = q_rooted_tsp(instance);
   for (std::size_t l = 0; l < tours.tours.size(); ++l) {
     const auto& tour = tours.tours[l];
     if (tour.size() < 2) continue;
     const auto direct_split = split_tour_minmax(points, tour, l, 3);
-    const auto cached_split = split_tour_minmax(cached, tour, l, 3);
-    ASSERT_EQ(direct_split.tours.size(), cached_split.tours.size());
+    const auto mapped_split = split_tour_minmax(mapped, tour, l, 3);
+    ASSERT_EQ(direct_split.tours.size(), mapped_split.tours.size());
     for (std::size_t t = 0; t < direct_split.tours.size(); ++t)
-      EXPECT_EQ(direct_split.tours[t].order(), cached_split.tours[t].order());
-    EXPECT_EQ(direct_split.total_length, cached_split.total_length);
-    EXPECT_EQ(direct_split.max_length, cached_split.max_length);
+      EXPECT_EQ(direct_split.tours[t].order(), mapped_split.tours[t].order());
+    EXPECT_EQ(direct_split.total_length, mapped_split.total_length);
+    EXPECT_EQ(direct_split.max_length, mapped_split.max_length);
   }
 }
 

@@ -8,6 +8,9 @@
 #include <set>
 #include <vector>
 
+#include "obs/obs.hpp"
+#include "obs/registry.hpp"
+#include "tsp/candidates.hpp"
 #include "tsp/exact.hpp"
 #include "util/rng.hpp"
 
@@ -64,6 +67,30 @@ TEST(QRootedMsf, SensorGoesToNearestDepotWhenIsolated) {
   EXPECT_EQ(forest.trees[0].num_nodes(), 1u);   // depot 0 alone
   EXPECT_EQ(forest.trees[1].num_nodes(), 2u);   // depot 1 + sensor
   EXPECT_NEAR(forest.total_weight, 10.0, 1e-12);
+}
+
+TEST(QRootedMsf, CoincidentClustersFallBackToDense) {
+  // Two clusters of 13 coincident sensors, 1 m apart. With k = 12 every
+  // candidate row stays inside its own cluster, so pruned Prim alone
+  // would join the second cluster through the depot (2546.29 m). The
+  // connectivity guard reruns dense Prim and keeps the exact forest.
+  QRootedInstance inst;
+  inst.depots = {{0, 0}};
+  for (int i = 0; i < 13; ++i) inst.sensors.push_back({900, 900});
+  for (int i = 0; i < 13; ++i) inst.sensors.push_back({901, 900});
+  const auto graph = CandidateGraph::build(inst.points().materialize());
+  ASSERT_EQ(graph.k(), 12u);
+
+  auto& fallbacks = obs::Registry::global().counter("tsp.msf_dense_fallbacks");
+  const auto before = fallbacks.value();
+  const auto exact = q_rooted_msf(inst);
+  const auto forest = q_rooted_msf(inst.distances(), inst.q(), &graph);
+  EXPECT_NEAR(exact.total_weight, 1273.79, 0.01);
+  EXPECT_EQ(forest.total_weight, exact.total_weight);
+  EXPECT_TRUE(forest.trees[0].valid());
+  if (MWC_OBS_ENABLED != 0) {
+    EXPECT_EQ(fallbacks.value(), before + 1);
+  }
 }
 
 TEST(QRootedMsf, TreesPartitionSensors) {
