@@ -166,40 +166,26 @@ std::shared_ptr<const BaseState> make_base_state(
   return state;
 }
 
-namespace {
-
-std::shared_ptr<Plan> build_derived_plan(const sim::RoundPlan& round,
-                                         std::size_t q,
-                                         const std::shared_ptr<const Plan>& base,
-                                         std::uint64_t key) {
-  auto plan = std::make_shared<Plan>();
-  plan->first_round_tours.reserve(round.tours.size());
+Plan plan_from_round(const sim::RoundPlan& round, std::size_t q,
+                     std::uint64_t key) {
+  Plan plan;
+  plan.first_round_tours.reserve(round.tours.size());
   for (std::size_t t = 0; t < round.tours.size(); ++t) {
     PlanTour tour;
     tour.depot = t;
     for (const std::size_t node : round.tours[t].order()) {
       if (node < q)
-        tour.depot = node;
+        tour.depot = node;  // combined label l < q is depot l
       else
         tour.sensors.push_back(node - q);
     }
     tour.length = round.tour_lengths[t];
-    plan->first_round_length += tour.length;
-    plan->first_round_tours.push_back(std::move(tour));
+    plan.first_round_length += tour.length;
+    plan.first_round_tours.push_back(std::move(tour));
   }
-  if (base != nullptr) {
-    // Horizon aggregates are inherited: the delta path re-plans the next
-    // rollout, not the whole monitoring period.
-    plan->total_distance = base->total_distance;
-    plan->num_dispatches = base->num_dispatches;
-    plan->num_sensor_charges = base->num_sensor_charges;
-    plan->dead_sensors = base->dead_sensors;
-  }
-  plan->fingerprint = key;
+  plan.fingerprint = key;
   return plan;
 }
-
-}  // namespace
 
 Response handle_delta(const DeltaRequest& request, PlanCache* cache,
                       StageTimings* stages) {
@@ -367,7 +353,16 @@ Response handle_delta(const DeltaRequest& request, PlanCache* cache,
       stages->solve_ms = elapsed_ms() - replan_start_ms;
     MWC_OBS_COUNT("svc.delta.replans");
 
-    auto plan = build_derived_plan(outcome.round, q, base->plan, key);
+    Plan derived = plan_from_round(outcome.round, q, key);
+    if (base->plan != nullptr) {
+      // Horizon aggregates are inherited: the delta path re-plans the
+      // next rollout, not the whole monitoring period.
+      derived.total_distance = base->plan->total_distance;
+      derived.num_dispatches = base->plan->num_dispatches;
+      derived.num_sensor_charges = base->plan->num_sensor_charges;
+      derived.dead_sensors = base->plan->dead_sensors;
+    }
+    auto plan = seal_plan(std::move(derived));
 
     // The derived plan is a full-fledged base for further deltas.
     auto state = std::make_shared<BaseState>();

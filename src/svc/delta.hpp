@@ -80,6 +80,12 @@ std::uint64_t patch_fingerprint(const PatchState& state);
 std::uint64_t derived_fingerprint(std::uint64_t base_fingerprint,
                                   const PatchState& state);
 
+/// The wire plan of a solved round: its tours relabeled from combined
+/// node labels to depot and sensor ids, `fingerprint` = key, horizon
+/// totals left at zero. Callers fill the totals, then seal_plan() it.
+Plan plan_from_round(const sim::RoundPlan& round, std::size_t q,
+                     std::uint64_t key);
+
 /// Builds the cacheable solver state after a successful full solve.
 /// Returns null when the policy never dispatched (nothing to repair).
 std::shared_ptr<const BaseState> make_base_state(

@@ -1,6 +1,7 @@
 #include "svc/engine.hpp"
 
 #include <chrono>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -180,34 +181,32 @@ std::uint64_t spec_fingerprint(const Request& request) {
 
 namespace {
 
-std::shared_ptr<const Plan> build_plan(const sim::SolveOutcome& outcome,
-                                       std::size_t q, std::uint64_t key) {
-  auto plan = std::make_shared<Plan>();
-  const sim::RoundPlan& round = outcome.first_round;
-  plan->first_round_tours.reserve(round.tours.size());
-  for (std::size_t t = 0; t < round.tours.size(); ++t) {
-    PlanTour tour;
-    tour.depot = t;
-    for (std::size_t node : round.tours[t].order()) {
-      if (node < q) {
-        tour.depot = node;  // combined label l < q is depot l
-      } else {
-        tour.sensors.push_back(node - q);
-      }
-    }
-    tour.length = round.tour_lengths[t];
-    plan->first_round_length += tour.length;
-    plan->first_round_tours.push_back(std::move(tour));
-  }
-  plan->total_distance = outcome.result.service_cost;
-  plan->num_dispatches = outcome.result.num_dispatches;
-  plan->num_sensor_charges = outcome.result.num_sensor_charges;
-  plan->dead_sensors = outcome.result.dead_sensors;
-  plan->fingerprint = key;
-  return plan;
+/// The answer to `request` that serves `plan` (latency left unset).
+Response plan_response(const Request& request,
+                       std::shared_ptr<const Plan> plan, bool cached) {
+  Response response;
+  response.id = request.id;
+  response.trace_id = request.trace_id;
+  response.version = request.version;
+  response.policy = request.policy;
+  response.ok = true;
+  response.cached = cached;
+  response.plan = std::move(plan);
+  return response;
 }
 
 }  // namespace
+
+std::optional<Response> spec_memo_hit(const Request& request,
+                                      PlanCache& cache) {
+  // A spec is remembered only after it resolved and fingerprinted
+  // successfully, and resolution is deterministic, so the plan found
+  // here is the one the resolving path would have found.
+  auto plan = cache.get_by_spec(spec_fingerprint(request));
+  if (plan == nullptr) return std::nullopt;
+  MWC_OBS_COUNT("svc.cache.spec_fast_hits");
+  return plan_response(request, std::move(plan), /*cached=*/true);
+}
 
 Response handle_request(const Request& request, PlanCache* cache,
                         StageTimings* stages) {
@@ -224,36 +223,15 @@ Response handle_request(const Request& request, PlanCache* cache,
     response.policy = request.policy;
     return response;
   };
-
-  const auto cache_hit = [&](std::shared_ptr<const Plan> hit) {
-    Response response = with_version(Response{});
-    response.id = request.id;
-    response.ok = true;
-    response.cached = true;
-    response.plan = std::move(hit);
+  const auto cache_hit = [&](Response response) {
+    if (stages != nullptr) stages->cache_ms = elapsed_ms();
     response.latency_ms = elapsed_ms();
     return response;
   };
 
-  // Warm fast lane: a spec previously seen maps straight to its instance
-  // fingerprint, so a repeat request skips resolution (network
-  // deployment + quantized hashing) entirely. Memo hits only ever
-  // shortcut work — a spec is remembered only after it resolved and
-  // fingerprinted successfully, and resolution is deterministic, so the
-  // plan returned is the one the slow path would have found.
-  bool probed = false;
-  const std::uint64_t spec =
-      cache != nullptr ? spec_fingerprint(request) : 0;
   if (cache != nullptr) {
-    if (const std::uint64_t memo_key = cache->spec_lookup(spec)) {
-      auto hit = cache->get(memo_key);
-      if (stages != nullptr) stages->cache_ms = elapsed_ms();
-      if (hit != nullptr) {
-        MWC_OBS_COUNT("svc.cache.spec_fast_hits");
-        return cache_hit(std::move(hit));
-      }
-      probed = true;  // the plan was evicted; counted as this miss
-    }
+    if (auto hit = spec_memo_hit(request, *cache))
+      return cache_hit(std::move(*hit));
   }
 
   ResolvedInstance instance;
@@ -275,10 +253,9 @@ Response handle_request(const Request& request, PlanCache* cache,
   const std::uint64_t key = fingerprint(request, instance);
   if (stages != nullptr) stages->cache_ms = elapsed_ms();
   if (cache != nullptr) {
-    cache->spec_remember(spec, key);
-    // The fast lane's probe already counted this key's miss.
-    if (auto hit = probed ? nullptr : cache->get(key))
-      return cache_hit(std::move(hit));
+    cache->spec_remember(spec_fingerprint(request), key);
+    if (auto hit = cache->get(key))
+      return cache_hit(plan_response(request, std::move(hit), true));
   }
 
   try {
@@ -287,16 +264,19 @@ Response handle_request(const Request& request, PlanCache* cache,
     const sim::SolveOutcome outcome = sim::solve_network(
         instance.network, *instance.cycles, instance.sim, *policy);
     if (stages != nullptr) stages->solve_ms = elapsed_ms() - solve_start_ms;
-    auto plan = build_plan(outcome, instance.network.q(), key);
+    Plan solved = plan_from_round(outcome.first_round, instance.network.q(),
+                                  key);
+    solved.total_distance = outcome.result.service_cost;
+    solved.num_dispatches = outcome.result.num_dispatches;
+    solved.num_sensor_charges = outcome.result.num_sensor_charges;
+    solved.dead_sensors = outcome.result.dead_sensors;
+    auto plan = seal_plan(std::move(solved));
     if (cache != nullptr) {
       // The solver state rides along so this plan can serve as the base
       // of v2 delta requests.
       cache->put(key, plan, make_base_state(request, instance, outcome, plan));
     }
-    Response response = with_version(Response{});
-    response.id = request.id;
-    response.ok = true;
-    response.plan = std::move(plan);
+    Response response = plan_response(request, std::move(plan), false);
     response.latency_ms = elapsed_ms();
     return response;
   } catch (const std::exception& e) {

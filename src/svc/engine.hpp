@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 
 #include "exp/config.hpp"
 #include "svc/plan_cache.hpp"
@@ -49,15 +50,26 @@ std::uint64_t fingerprint(const Request& request,
 /// spec — id / trace / deadline excluded). Resolution is deterministic,
 /// so equal spec hashes imply equal instance fingerprints; the warm path
 /// memoizes spec -> fingerprint in the PlanCache and skips resolving
-/// (network deployment + quantized hashing) on repeat requests. Unlike
-/// the fingerprint it does not canonicalize: a preset and an equivalent
-/// inline request hash differently here but still meet at the same
-/// fingerprint and cache entry.
+/// (network deployment + quantized hashing) on repeat requests (see
+/// spec_memo_hit). Unlike the fingerprint it does not canonicalize: a
+/// preset and an equivalent inline request hash differently here but
+/// still meet at the same fingerprint and cache entry.
 std::uint64_t spec_fingerprint(const Request& request);
 
-/// Serves one request end to end: resolve, policy lookup, cache probe,
-/// solve, cache fill. Never throws — every failure comes back as a
-/// structured error Response (bad_request / unknown_policy / internal).
+/// The warm hit path: when `request`'s spec is in the cache's spec memo
+/// and its plan is still cached, the cached answer (ok, cached, plan and
+/// the request's id / trace id / version / policy; latency left to the
+/// caller). Counts the hit and `svc.cache.spec_fast_hits`. Otherwise
+/// nullopt with nothing counted: the resolving path counts the miss.
+/// svc::Server answers these hits on the submitting thread, before any
+/// queueing; handle_request tries it first too.
+std::optional<Response> spec_memo_hit(const Request& request,
+                                      PlanCache& cache);
+
+/// Serves one request end to end: spec-memo probe, resolve, policy
+/// lookup, cache probe, solve, cache fill. Never throws — every failure
+/// comes back as a structured error Response (bad_request /
+/// unknown_policy / internal).
 /// `cache` may be null (solve-always). `latency_ms` covers this call only;
 /// the server adds queueing time on top. When `stages` is non-null the
 /// engine fills `cache_ms` (resolve + fingerprint + cache probe) and

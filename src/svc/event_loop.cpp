@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <thread>
 #include <utility>
 
 #include <arpa/inet.h>
@@ -36,6 +37,7 @@ struct NetServer::Conn {
   /// Responses completed out of order, parked until every earlier
   /// sequence number has flushed.
   std::map<std::uint64_t, std::string> ready;
+  std::size_t ready_bytes = 0;  ///< total size of the `ready` lines
   std::uint64_t next_seq = 0;    ///< sequence of the next inbound line
   std::uint64_t next_flush = 0;  ///< sequence owed to the client next
   bool half_closed = false;      ///< peer sent EOF; flush then close
@@ -49,6 +51,15 @@ struct NetServer::Conn {
   /// Server-initiated lines (no sequence number); drained into `out`
   /// between in-order flushes.
   std::vector<std::string> pushed;
+
+  void park(std::uint64_t seq, std::string line) {
+    ready_bytes += line.size();
+    ready.emplace(seq, std::move(line));
+  }
+  /// Bytes owed to the client: parked responses plus unflushed output.
+  std::size_t owed_bytes() const {
+    return ready_bytes + (out.size() - out_pos);
+  }
 };
 
 NetServer::NetServer(Server& server, const AdminHandler* admin,
@@ -214,7 +225,7 @@ void NetServer::process_line(const std::shared_ptr<Conn>& conn,
                                       &streaming);
       conn->streaming = streaming;
     }
-    conn->ready.emplace(seq, std::move(reply));
+    conn->park(seq, std::move(reply));
     return;
   }
 
@@ -223,16 +234,23 @@ void NetServer::process_line(const std::shared_ptr<Conn>& conn,
   if (admin_ != nullptr) {
     std::string admin_response;
     if (admin_->try_handle(line, &admin_response)) {
-      conn->ready.emplace(seq, std::move(admin_response));
+      conn->park(seq, std::move(admin_response));
       return;
     }
   }
 
-  // The callback runs on a solver worker (or inline for synchronous
-  // rejections); it serializes there so the loop thread only moves
-  // bytes. A connection that died first drops the response.
+  // The callback runs inline for cache hits and synchronous rejections,
+  // and on a solver worker otherwise. Inline answers park straight in
+  // `ready` at their slot (the loop owns it, and read_input's pump
+  // flushes it); worker answers serialize on the worker and reach the
+  // loop through `done` and an eventfd wake. A connection that died
+  // before a worker answered drops the response.
   auto callback = [this, conn, seq](const Response& response) {
     std::string out_line = to_jsonl(response);
+    if (std::this_thread::get_id() == loop_thread_) {
+      conn->park(seq, std::move(out_line));
+      return;
+    }
     bool enqueue = false;
     {
       std::lock_guard<std::mutex> lock(conn->mutex);
@@ -264,9 +282,7 @@ void NetServer::read_input(const std::shared_ptr<Conn>& conn) {
       conn->in.append(buffer, static_cast<std::size_t>(got));
       conn->last_activity = SteadyClock::now();
       if (conn->in.size() > options_.max_buffered_bytes) {
-        overflow_closed_.fetch_add(1, std::memory_order_relaxed);
-        MWC_OBS_COUNT("svc.net.overflow_closed");
-        close_conn(conn, "input overflow");
+        overflow_close(conn, "input overflow");
         return;
       }
       continue;
@@ -290,6 +306,12 @@ void NetServer::read_input(const std::shared_ptr<Conn>& conn) {
     while (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty() || stopping_) continue;  // stop: no new admissions
     process_line(conn, std::move(line));
+    // Inline answers park without a pump in between, and may wait behind
+    // a slow earlier line: bound them here, not only once they flush.
+    if (conn->owed_bytes() > options_.max_buffered_bytes) {
+      overflow_close(conn, "output overflow");
+      return;
+    }
   }
   conn->in.erase(0, start);
   // EOF ends a final unterminated line, matching the stdio transport.
@@ -308,13 +330,14 @@ void NetServer::pump(const std::shared_ptr<Conn>& conn) {
   {
     std::lock_guard<std::mutex> lock(conn->mutex);
     for (auto& [seq, line] : conn->done)
-      conn->ready.emplace(seq, std::move(line));
+      conn->park(seq, std::move(line));
     conn->done.clear();
   }
   // Release responses strictly in request order.
   auto it = conn->ready.begin();
   while (it != conn->ready.end() && it->first == conn->next_flush) {
     conn->out += it->second;
+    conn->ready_bytes -= it->second.size();
     it = conn->ready.erase(it);
     ++conn->next_flush;
     responses_.fetch_add(1, std::memory_order_relaxed);
@@ -333,10 +356,8 @@ void NetServer::pump(const std::shared_ptr<Conn>& conn) {
     }
     for (std::string& line : pushed) conn->out += line;
   }
-  if (conn->out.size() - conn->out_pos > options_.max_buffered_bytes) {
-    overflow_closed_.fetch_add(1, std::memory_order_relaxed);
-    MWC_OBS_COUNT("svc.net.overflow_closed");
-    close_conn(conn, "output overflow");
+  if (conn->owed_bytes() > options_.max_buffered_bytes) {
+    overflow_close(conn, "output overflow");
     return;
   }
 
@@ -413,6 +434,13 @@ bool NetServer::push_line(const std::shared_ptr<Conn>& conn,
   return true;
 }
 
+void NetServer::overflow_close(const std::shared_ptr<Conn>& conn,
+                               const char* reason) {
+  overflow_closed_.fetch_add(1, std::memory_order_relaxed);
+  MWC_OBS_COUNT("svc.net.overflow_closed");
+  close_conn(conn, reason);
+}
+
 void NetServer::close_conn(const std::shared_ptr<Conn>& conn,
                            const char* /*reason*/) {
   if (conn->fd < 0) return;
@@ -427,6 +455,7 @@ void NetServer::close_conn(const std::shared_ptr<Conn>& conn,
     conn->pushed.clear();
   }
   conn->ready.clear();
+  conn->ready_bytes = 0;
   if (conn->streaming && sessions_ != nullptr) {
     conn->streaming = false;
     sessions_->drop_connection(conn->token);
@@ -502,6 +531,7 @@ void NetServer::begin_stop() {
 }
 
 void NetServer::run() {
+  loop_thread_ = std::this_thread::get_id();
   std::vector<epoll_event> events(128);
   for (;;) {
     if (stop_requested_.load(std::memory_order_acquire) && !stopping_)

@@ -11,10 +11,13 @@
 // synchronous rejections (bad_request, queue_full, ...) join the same
 // sequence stream, so an error mid-pipeline never desyncs it.
 //
-// Solve work still flows through svc::Server::submit_line, so admission
-// control, deadlines, and drain semantics are identical to the stdio
-// transport; worker completions serialize the response on the worker and
-// hand the bytes back to the loop through an eventfd wakeup.
+// Requests flow through svc::Server::submit_line, so admission control,
+// deadlines, and drain semantics are identical to the stdio transport.
+// Spec-memo cache hits are answered inside that call, on the loop
+// thread: their bytes take the line's sequence slot directly and flush
+// with the same read. Worker completions (misses, deltas) serialize the
+// response on the worker and hand the bytes back to the loop through an
+// eventfd wakeup.
 //
 // Shutdown is deterministic: request_stop() (async-signal-safe) wakes
 // the loop, which closes the listener, stops parsing new input, flushes
@@ -48,6 +51,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -91,8 +95,9 @@ struct NetServerOptions {
   int backlog = 128;
   std::size_t max_connections = 1024;  ///< accepts beyond are closed
   double idle_timeout_ms = 0.0;        ///< 0 = never reap idle conns
-  /// Per-connection buffer guard (unparsed input or unflushed output);
-  /// a connection exceeding it is closed.
+  /// Per-connection buffer guard (unparsed input, or owed output:
+  /// responses parked for in-order release plus unflushed bytes); a
+  /// connection exceeding it is closed.
   std::size_t max_buffered_bytes = 64 * 1024 * 1024;
   bool tcp_nodelay = true;
   /// After request_stop(), connections whose owed output still cannot
@@ -171,6 +176,8 @@ class NetServer {
   /// StreamHub::PushFn for the contract).
   bool push_line(const std::shared_ptr<Conn>& conn, std::string line);
   void close_conn(const std::shared_ptr<Conn>& conn, const char* reason);
+  /// close_conn for a connection past `max_buffered_bytes`, counted.
+  void overflow_close(const std::shared_ptr<Conn>& conn, const char* reason);
   void drain_completions();
   void sweep_idle();
   void begin_stop();
@@ -186,6 +193,7 @@ class NetServer {
   std::atomic<int> wake_fd_{-1};
   int bound_port_ = 0;
 
+  std::thread::id loop_thread_;  ///< run()'s thread: inline answers
   std::atomic<bool> stop_requested_{false};
   bool stopping_ = false;  ///< loop-thread view (begin_stop ran)
   std::chrono::steady_clock::time_point drain_deadline_{};

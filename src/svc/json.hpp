@@ -66,7 +66,7 @@ class Json {
   /// Typed accessors; throw JsonError on a type mismatch.
   bool as_bool() const;
   double as_double() const;
-  std::int64_t as_int() const;  ///< as_double, checked integral
+  std::int64_t as_int() const;  ///< as_double, checked integral and in range
   const std::string& as_string() const;
   const std::vector<Json>& items() const;  ///< array elements
   /// Object members in insertion order.
@@ -100,9 +100,12 @@ class Json {
 /// Appends `s` as a JSON string literal (quotes + escapes) to `out`.
 void append_json_escaped(std::string& out, std::string_view s);
 
-/// Appends `v` in exactly the form Json::dump uses for numbers (integral
-/// values as plain integers, everything else as %.17g). Direct-append
-/// serializers share this so their bytes match a Json-tree dump.
+/// Appends `v` in exactly the form Json::dump uses for numbers. Direct-
+/// append serializers share this so their bytes match a Json-tree dump.
+///   * whole numbers in the int64 range print as plain integers
+///     (-0.0 prints "0");
+///   * every other finite value prints as %.17g ("-1e+19", "2.5");
+///   * NaN and ±inf have no JSON spelling and print as `null`.
 void append_json_number(std::string& out, double v);
 
 }  // namespace mwc::svc

@@ -56,12 +56,24 @@ PlanCache::Shard& PlanCache::shard_for(std::uint64_t key) const noexcept {
 }
 
 std::shared_ptr<const Plan> PlanCache::get(std::uint64_t key) {
+  return lookup(key, /*count_miss=*/true);
+}
+
+std::shared_ptr<const Plan> PlanCache::get_by_spec(std::uint64_t spec_hash) {
+  const std::uint64_t key = spec_lookup(spec_hash);
+  return key == 0 ? nullptr : lookup(key, /*count_miss=*/false);
+}
+
+std::shared_ptr<const Plan> PlanCache::lookup(std::uint64_t key,
+                                              bool count_miss) {
   Shard& shard = shard_for(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   const auto it = shard.index.find(key);
   if (it == shard.index.end()) {
-    misses_.add(1);
-    MWC_OBS_COUNT("svc.cache.misses");
+    if (count_miss) {
+      misses_.add(1);
+      MWC_OBS_COUNT("svc.cache.misses");
+    }
     return nullptr;
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);  // -> MRU

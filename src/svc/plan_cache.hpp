@@ -18,7 +18,7 @@
 // from a cheap hash of the raw request spec to the instance fingerprint
 // it resolved to. The warm path uses it to skip instance resolution
 // (network deployment + quantized hashing) entirely — see
-// svc::handle_request.
+// svc::spec_memo_hit.
 //
 // Hits/misses/evictions are tracked both on local counters (exact
 // per-cache stats, usable under MWC_OBS=OFF) and on the global registry
@@ -93,6 +93,12 @@ class PlanCache {
   /// `svc.delta.*` counters instead.
   std::shared_ptr<const BaseState> get_state(std::uint64_t key);
 
+  /// The plan the spec memo maps `spec_hash` to, promoted and counted as
+  /// a hit; null when the spec is unknown or its plan was evicted. That
+  /// null is not counted as a miss: the caller falls back to resolving
+  /// the instance, whose get() probe counts it.
+  std::shared_ptr<const Plan> get_by_spec(std::uint64_t spec_hash);
+
   /// The instance fingerprint previously remembered for `spec_hash`, or
   /// 0 when unknown (0 is never remembered). Not counted as a cache
   /// hit/miss — the plan probe that follows is.
@@ -144,6 +150,8 @@ class PlanCache {
   };
 
   Shard& shard_for(std::uint64_t key) const noexcept;
+  /// get() with the miss counted only when `count_miss`.
+  std::shared_ptr<const Plan> lookup(std::uint64_t key, bool count_miss);
 
   std::size_t per_shard_ = 0;  ///< capacity each shard retains
   mutable std::vector<Shard> shards_;

@@ -1,8 +1,9 @@
 #include "svc/server.hpp"
 
 #include <chrono>
-#include <cstdio>
+#include <optional>
 #include <random>
+#include <string_view>
 #include <utility>
 
 #include "obs/obs.hpp"
@@ -28,20 +29,21 @@ constexpr double kStageBucketsMs[] = {0.001, 0.005, 0.01,  0.025, 0.05,
                                       5.0,   10.0,  25.0,  50.0,  100.0,
                                       250.0, 1000.0};
 
-/// Metric-name-safe policy label: lowercased, anything outside
+constexpr const char* kStageNames[] = {"parse", "queue", "cache", "solve",
+                                       "serialize"};
+
+/// Appends a metric-name-safe policy label: lowercased, anything outside
 /// [a-z0-9_] becomes '_' ("MinTotalDistance" -> "mintotaldistance"),
 /// bounded so hostile policy strings can't bloat the registry.
-std::string sanitize_label(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
+void append_label(std::string& out, std::string_view s) {
+  std::size_t written = 0;
   for (char c : s) {
-    if (out.size() >= 48) break;
+    if (written++ >= 48) break;
     if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
     const bool ok = (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
                     c == '_';
     out.push_back(ok ? c : '_');
   }
-  return out;
 }
 
 double wall_clock_ms() {
@@ -77,6 +79,7 @@ Server::Server(ServerOptions options)
                                      kLatencyBucketsMs)),
       pool_(std::make_unique<ThreadPool>(options_.threads)) {
   if (options_.queue_capacity == 0) options_.queue_capacity = 1;
+  stage_totals_ = make_stage_histograms("");
   trace_prefix_ = (std::uint64_t(std::random_device{}()) << 32) ^
                   std::random_device{}();
   if (options_.recent_capacity > 0) recent_.reserve(options_.recent_capacity);
@@ -89,11 +92,7 @@ std::string Server::generate_trace_id() {
   // unique within a server and effectively unique across restarts.
   const std::uint64_t seq =
       trace_seq_.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t id = trace_prefix_ ^ (seq * 0x9e3779b97f4a7c15ULL);
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(id));
-  return std::string(buf);
+  return fingerprint_hex(trace_prefix_ ^ (seq * 0x9e3779b97f4a7c15ULL));
 }
 
 Server::Job Server::make_job(ParsedRequest parsed, std::string peer,
@@ -139,7 +138,9 @@ bool Server::submit_line(const std::string& line, ResponseCallback callback,
     return false;
   } catch (const WireError& e) {
     MWC_OBS_COUNT("svc.bad_request");
-    callback(error_response("", ErrorCode::kBadRequest, e.what()));
+    Response response = error_response(e.id, ErrorCode::kBadRequest, e.what());
+    response.version = e.version;
+    callback(response);
     return false;
   }
   const double parse_ms = (obs::now_us() - parse_start_us) / 1000.0;
@@ -147,7 +148,30 @@ bool Server::submit_line(const std::string& line, ResponseCallback callback,
                std::move(callback));
 }
 
+bool Server::answer_hit(Job& job, const ResponseCallback& callback) {
+  if (job.parsed.is_delta || options_.handler) return false;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (stopping_) return false;  // admit() answers shutting_down
+    ++in_flight_;  // so a concurrent shutdown() waits for this answer
+  }
+  const auto start = Clock::now();
+  std::optional<Response> hit = spec_memo_hit(job.parsed.full, cache_);
+  if (!hit) {
+    release_in_flight();
+    return false;
+  }
+  accepted_.add(1);
+  MWC_OBS_COUNT("svc.requests_accepted");
+  hit->latency_ms =
+      std::chrono::duration<double, std::milli>(Clock::now() - start).count();
+  job.stages.cache_ms = hit->latency_ms;
+  finish(job, std::move(*hit), callback);
+  return true;
+}
+
 bool Server::admit(Job job, ResponseCallback callback) {
+  if (answer_hit(job, callback)) return true;
   const auto admitted = Clock::now();
   // Rejections echo the trace id under the same rule as completions:
   // always for v2, only when client-supplied for v1.
@@ -302,6 +326,10 @@ void Server::finish(const Job& job, Response response,
     }
   }
 
+  release_in_flight();
+}
+
+void Server::release_in_flight() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     --in_flight_;
@@ -309,30 +337,45 @@ void Server::finish(const Job& job, Response response,
   drained_cv_.notify_all();
 }
 
-void Server::record_stages(const Job& job, const Response& response) {
-  struct StageValue {
-    const char* name;
-    double ms;
-  };
-  const StageValue stages[] = {
-      {"parse", response.stages.parse_ms},
-      {"queue", response.stages.queue_ms},
-      {"cache", response.stages.cache_ms},
-      {"solve", response.stages.solve_ms},
-      {"serialize", response.stages.serialize_ms},
-  };
-  const char* version_label =
-      job_version(job.parsed) == WireVersion::kV2 ? "v2" : "v1";
-  const std::string policy_label = sanitize_label(
-      response.policy.empty() ? std::string("none") : response.policy);
-  for (const StageValue& s : stages) {
-    const std::string base = std::string("svc.stage.") + s.name + "_ms";
-    metrics_.histogram(base, kStageBucketsMs).observe(s.ms);
-    const std::string keyed = base + "." + version_label + "." + policy_label;
-    metrics_.histogram(keyed, kStageBucketsMs).observe(s.ms);
+Server::StageHistograms Server::make_stage_histograms(
+    const std::string& suffix) {
+  StageHistograms set;
+  for (std::size_t s = 0; s < kStageCount; ++s) {
+    const std::string name =
+        std::string("svc.stage.") + kStageNames[s] + "_ms" + suffix;
+    set.local[s] = &metrics_.histogram(name, kStageBucketsMs);
 #if MWC_OBS_ENABLED
-    obs::Registry::global().histogram(base, kStageBucketsMs).observe(s.ms);
-    obs::Registry::global().histogram(keyed, kStageBucketsMs).observe(s.ms);
+    set.global[s] = &obs::Registry::global().histogram(name, kStageBucketsMs);
+#endif
+  }
+  return set;
+}
+
+const Server::StageHistograms& Server::keyed_stages(WireVersion version,
+                                                    const std::string& policy) {
+  std::string label = version == WireVersion::kV2 ? "v2." : "v1.";
+  append_label(label, policy.empty() ? std::string_view("none") : policy);
+  std::lock_guard<std::mutex> lock(keyed_stages_mutex_);
+  auto it = keyed_stages_.find(label);
+  if (it == keyed_stages_.end())
+    it = keyed_stages_.emplace(label, make_stage_histograms("." + label))
+             .first;
+  return it->second;  // unordered_map nodes never move
+}
+
+void Server::record_stages(const Job& job, const Response& response) {
+  const double ms[kStageCount] = {
+      response.stages.parse_ms, response.stages.queue_ms,
+      response.stages.cache_ms, response.stages.solve_ms,
+      response.stages.serialize_ms};
+  const StageHistograms& keyed =
+      keyed_stages(job_version(job.parsed), response.policy);
+  for (std::size_t s = 0; s < kStageCount; ++s) {
+    stage_totals_.local[s]->observe(ms[s]);
+    keyed.local[s]->observe(ms[s]);
+#if MWC_OBS_ENABLED
+    stage_totals_.global[s]->observe(ms[s]);
+    keyed.global[s]->observe(ms[s]);
 #endif
   }
 }

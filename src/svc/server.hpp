@@ -9,6 +9,14 @@
 // (shutting_down responses) and drains every request already accepted, so
 // no callback is ever dropped.
 //
+// Warm hits never queue: a full request whose spec the PlanCache's spec
+// memo knows (svc::spec_memo_hit) is answered on the submitting thread —
+// for TCP, the event-loop thread — with queue_ms 0 and the same
+// bookkeeping as a pool job (counters, latency and stage histograms,
+// access log, tracez ring, in-flight count, shutdown refusal). Hits do
+// not count against `queue_capacity`. Misses, deltas, and every request
+// of a server with an injected `handler` go through the pool.
+//
 // Observability: every request gets a trace id (client-supplied or
 // server-generated) that is echoed on the wire (always for v2; for v1
 // only when the client supplied one, keeping pre-tracing v1 responses
@@ -38,6 +46,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "obs/registry.hpp"
@@ -49,8 +58,9 @@
 namespace mwc::svc {
 
 /// Invoked exactly once per submitted request, either synchronously (parse
-/// error, rejection) or from a worker thread (solved / expired). May run
-/// concurrently with other callbacks; the callee synchronizes its sink.
+/// error, rejection, cache hit) or from a worker thread (solved /
+/// expired). May run concurrently with other callbacks; the callee
+/// synchronizes its sink.
 using ResponseCallback = std::function<void(const Response&)>;
 
 /// Maps an admitted request to its response. The default (null) handler is
@@ -90,7 +100,8 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Admits `request`. Returns true when accepted (the callback fires
-  /// later from a worker); false when rejected, in which case the
+  /// later from a worker, or has already fired when the request was a
+  /// spec-memo cache hit); false when rejected, in which case the
   /// callback has already been invoked synchronously with a queue_full /
   /// shutting_down error. Never blocks. `peer` labels the transport in
   /// the access log and tracez ("stdio", "tcp", ...).
@@ -103,10 +114,12 @@ class Server {
               std::string peer = "local");
 
   /// Parses one wire line of either form (full or v2 delta) and submits
-  /// it. Malformed lines are answered synchronously with bad_request;
-  /// lines naming a version this server does not speak get the
-  /// structured unsupported_version error (id "" in both cases — the
-  /// line never parsed far enough to trust one).
+  /// it. Lines naming a version this server does not speak get the
+  /// structured unsupported_version error with id "" (the schema is
+  /// unknown, so no field is trusted). Other malformed lines are answered
+  /// synchronously with bad_request, echoing the line's string "id" and
+  /// version once the line parsed as an object in a known version, and
+  /// id "" before that.
   bool submit_line(const std::string& line, ResponseCallback callback,
                    std::string peer = "local");
 
@@ -142,12 +155,32 @@ class Server {
     StageTimings stages;
   };
 
+  static constexpr std::size_t kStageCount = 5;  ///< parse..serialize
+
+  /// One label's stage histograms (parse, queue, cache, solve,
+  /// serialize), resolved once: in the per-server registry and, when
+  /// telemetry is compiled in, the global one.
+  struct StageHistograms {
+    obs::Histogram* local[kStageCount] = {};
+    obs::Histogram* global[kStageCount] = {};
+  };
+
   Job make_job(ParsedRequest parsed, std::string peer, double parse_ms);
-  /// Shared admission path for both request forms.
+  /// Shared admission path for both request forms: a spec-memo hit is
+  /// answered inline, everything else queues for the pool.
   bool admit(Job job, ResponseCallback callback);
+  /// Answers a full request from the spec memo on the calling thread;
+  /// false (nothing answered) on a miss, a delta, an injected handler,
+  /// or once shutdown began.
+  bool answer_hit(Job& job, const ResponseCallback& callback);
   Response process(Job& job, Clock::time_point admitted);
   void finish(const Job& job, Response response,
               const ResponseCallback& callback);
+  void release_in_flight();
+  StageHistograms make_stage_histograms(const std::string& suffix);
+  /// The histograms keyed by (wire version, policy label).
+  const StageHistograms& keyed_stages(WireVersion version,
+                                      const std::string& policy);
   void record_stages(const Job& job, const Response& response);
   std::string generate_trace_id();
 
@@ -160,6 +193,9 @@ class Server {
   obs::Counter& rejected_shutdown_;
   obs::Counter& expired_;
   obs::Histogram& latency_ms_;
+  StageHistograms stage_totals_;  ///< unkeyed svc.stage.*_ms
+  std::mutex keyed_stages_mutex_;
+  std::unordered_map<std::string, StageHistograms> keyed_stages_;
 
   std::uint64_t trace_prefix_ = 0;  ///< random per-server id stream salt
   std::atomic<std::uint64_t> trace_seq_{0};

@@ -146,21 +146,21 @@ std::size_t load_cache_snapshot(PlanCache& cache, const std::string& path,
   Reader r(payload, payload_size);
   std::uint64_t count;
   if (!r.u64(&count)) return reject("snapshot truncated");
-  std::vector<std::pair<std::uint64_t, std::shared_ptr<Plan>>> staged;
+  std::vector<std::pair<std::uint64_t, Plan>> staged;
   for (std::uint64_t i = 0; i < count; ++i) {
     std::uint64_t key, tours;
-    auto plan = std::make_shared<Plan>();
+    Plan plan;
     std::uint64_t dispatches, charges, dead;
-    if (!r.u64(&key) || !r.u64(&plan->fingerprint) ||
-        !r.f64(&plan->first_round_length) || !r.f64(&plan->total_distance) ||
+    if (!r.u64(&key) || !r.u64(&plan.fingerprint) ||
+        !r.f64(&plan.first_round_length) || !r.f64(&plan.total_distance) ||
         !r.u64(&dispatches) || !r.u64(&charges) || !r.u64(&dead) ||
         !r.u64(&tours))
       return reject("snapshot truncated");
-    if (key != plan->fingerprint)
+    if (key != plan.fingerprint)
       return reject("snapshot entry key != plan fingerprint");
-    plan->num_dispatches = dispatches;
-    plan->num_sensor_charges = charges;
-    plan->dead_sensors = dead;
+    plan.num_dispatches = dispatches;
+    plan.num_sensor_charges = charges;
+    plan.dead_sensors = dead;
     for (std::uint64_t t = 0; t < tours; ++t) {
       PlanTour tour;
       std::uint64_t depot, sensors;
@@ -175,13 +175,13 @@ std::size_t load_cache_snapshot(PlanCache& cache, const std::string& path,
         if (!r.u64(&id)) return reject("snapshot truncated");
         tour.sensors.push_back(id);
       }
-      plan->first_round_tours.push_back(std::move(tour));
+      plan.first_round_tours.push_back(std::move(tour));
     }
     staged.emplace_back(key, std::move(plan));
   }
   if (!r.done()) return reject("snapshot has trailing bytes");
 
-  for (auto& [key, plan] : staged) cache.put(key, std::move(plan));
+  for (auto& [key, plan] : staged) cache.put(key, seal_plan(std::move(plan)));
   MWC_OBS_COUNT_N("svc.cache.snapshot_loaded", staged.size());
   return staged.size();
 }

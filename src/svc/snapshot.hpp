@@ -7,7 +7,8 @@
 // checksum over the payload; loading validates magic, checksum, bounds,
 // and that every entry's key matches its plan's recorded fingerprint,
 // and rejects the whole file on any violation — a corrupt or stale
-// snapshot never half-populates a cache.
+// snapshot never half-populates a cache. Restored plans are sealed
+// (svc::seal_plan) as they load, so their hits splice stored bytes too.
 //
 // BaseState (the v2 delta repair state) intentionally does not persist:
 // snapshot-restored entries serve full requests warm immediately, while

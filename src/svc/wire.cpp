@@ -1,5 +1,7 @@
 #include "svc/wire.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <utility>
 
@@ -14,6 +16,15 @@ double require_positive(double v, const char* what) {
   return v;
 }
 
+/// A node count: an integer in [1, max], refused by name otherwise.
+std::size_t require_count(const Json& j, const char* what, std::size_t max) {
+  const double v = j.as_double();
+  if (!(v >= 1.0 && v <= static_cast<double>(max)) || v != std::trunc(v))
+    throw WireError(std::string(what) + " must be an integer in [1, " +
+                    std::to_string(max) + "]");
+  return static_cast<std::size_t>(v);
+}
+
 geom::Point parse_point(const Json& j, const char* what) {
   if (!j.is_array() || j.size() != 2)
     throw WireError(std::string(what) + " must be [x, y]");
@@ -24,8 +35,10 @@ NetworkSpec parse_network(const Json& j) {
   NetworkSpec spec;
   if (const Json* preset = j.find("preset")) {
     spec.inline_points = false;
-    spec.deployment.n = static_cast<std::size_t>(preset->at("n").as_int());
-    spec.deployment.q = static_cast<std::size_t>(preset->at("q").as_int());
+    spec.deployment.n =
+        require_count(preset->at("n"), "network.preset.n", kMaxPresetNodes);
+    spec.deployment.q =
+        require_count(preset->at("q"), "network.preset.q", kMaxPresetNodes);
     if (const Json* field = preset->find("field"))
       spec.deployment.field_side =
           require_positive(field->as_double(), "network.preset.field");
@@ -33,8 +46,6 @@ NetworkSpec parse_network(const Json& j) {
       spec.deployment.depot_at_base_station = at_bs->as_bool();
     if (const Json* seed = preset->find("seed"))
       spec.seed = static_cast<std::uint64_t>(seed->as_int());
-    if (spec.deployment.n == 0) throw WireError("network.preset.n must be > 0");
-    if (spec.deployment.q == 0) throw WireError("network.preset.q must be > 0");
     return spec;
   }
   if (j.find("sensors") == nullptr)
@@ -243,8 +254,11 @@ Request parse_full(const Json& doc, WireVersion version) {
   request.cycles = parse_cycles(doc.at("cycles"));
   if (const Json* horizon = doc.find("horizon"))
     request.horizon = require_positive(horizon->as_double(), "horizon");
-  if (const Json* slot = doc.find("slot_length"))
+  if (const Json* slot = doc.find("slot_length")) {
     request.slot_length = slot->as_double();
+    if (request.slot_length < 0.0)
+      throw WireError("slot_length must be >= 0 (0 freezes cycles)");
+  }
   if (const Json* improve = doc.find("improve"))
     request.improve = improve->as_bool();
   if (const Json* deadline = doc.find("deadline_ms")) {
@@ -261,6 +275,15 @@ Request parse_full(const Json& doc, WireVersion version) {
       request.cycles.values.size() != request.network.sensors.size()) {
     throw WireError("cycles.values size != network.sensors size");
   }
+  const double tau_min =
+      request.cycles.inline_values
+          ? *std::min_element(request.cycles.values.begin(),
+                              request.cycles.values.end())
+          : request.cycles.model.tau_min;
+  if (request.horizon / tau_min > kMaxHorizonCycles)
+    throw WireError("horizon must be <= " +
+                    std::to_string(static_cast<long>(kMaxHorizonCycles)) +
+                    " x the shortest cycle (tau_min)");
   return request;
 }
 
@@ -379,14 +402,17 @@ std::string stream_error_line(const std::string& id, ErrorCode code,
 
 ParsedRequest parse_any_request(const std::string& line) {
   Json doc;
+  WireVersion version = WireVersion::kV1;
   try {
     doc = Json::parse(line);
+    if (!doc.is_object()) throw WireError("request must be a JSON object");
+    version = negotiate_version(doc);
   } catch (const JsonError& e) {
     throw WireError(e.what());
   }
+  // The line names a schema this server speaks: from here on an error
+  // carries the request's id and version back to the client.
   try {
-    if (!doc.is_object()) throw WireError("request must be a JSON object");
-    const WireVersion version = negotiate_version(doc);
     ParsedRequest parsed;
     if (version == WireVersion::kV2 && doc.find("base") != nullptr) {
       parsed.is_delta = true;
@@ -395,8 +421,12 @@ ParsedRequest parse_any_request(const std::string& line) {
     }
     parsed.full = parse_full(doc, version);
     return parsed;
-  } catch (const JsonError& e) {
-    throw WireError(e.what());
+  } catch (const std::runtime_error& e) {  // WireError or JsonError
+    WireError error(e.what());
+    const Json* id = doc.find("id");
+    if (id != nullptr && id->is_string()) error.id = id->as_string();
+    error.version = version;
+    throw error;
   }
 }
 
@@ -473,11 +503,12 @@ std::string to_jsonl(const Response& response) {
   // stage breakdown), so this appends straight into the output string
   // instead of building a Json tree — byte-identical to the tree form
   // (golden_v1_test pins the exact bytes; keys are escape-free literals
-  // and values go through the shared append_json_* helpers).
+  // and values go through the shared append_json_* helpers). The plan
+  // body is the one part that scales with n, and a sealed plan carries
+  // it pre-rendered: the envelope is built here, the plan is one copy.
   std::string out;
-  out.reserve(256 + (response.plan != nullptr
-                         ? 24 * response.plan->num_sensor_charges + 512
-                         : 0));
+  out.reserve(256 + (response.plan != nullptr ? response.plan->json.size()
+                                              : 0));
   out += "{\"v\":\"";
   out += wire_version_name(response.version);
   out += "\",\"id\":";
@@ -522,7 +553,9 @@ std::string to_jsonl(const Response& response) {
   return out;
 }
 
-void append_plan_json(std::string& out, const Plan& plan) {
+namespace {
+
+void render_plan_json(std::string& out, const Plan& plan) {
   out += "{\"first_round_tours\":[";
   bool first_tour = true;
   for (const auto& tour : plan.first_round_tours) {
@@ -554,6 +587,22 @@ void append_plan_json(std::string& out, const Plan& plan) {
   out += ",\"fingerprint\":\"";
   out += fingerprint_hex(plan.fingerprint);
   out += "\"}";
+}
+
+}  // namespace
+
+void append_plan_json(std::string& out, const Plan& plan) {
+  if (plan.json.empty()) {
+    render_plan_json(out, plan);
+  } else {
+    out += plan.json;
+  }
+}
+
+std::shared_ptr<const Plan> seal_plan(Plan plan) {
+  plan.json.clear();
+  render_plan_json(plan.json, plan);
+  return std::make_shared<const Plan>(std::move(plan));
 }
 
 Response error_response(const std::string& id, ErrorCode code,

@@ -80,6 +80,17 @@ struct CycleSpec {
   std::uint64_t seed = 1;
 };
 
+/// Largest preset network a request may ask for (`network.preset.n`
+/// and `.q`); beyond it a request is refused instead of exhausting memory.
+inline constexpr std::size_t kMaxPresetNodes = 1'000'000;
+
+/// Longest accepted horizon, in units of the instance's shortest charging
+/// cycle (`horizon / tau_min`). Every policy but PerSensorPeriodic
+/// dispatches at most once per shortest cycle, so this keeps a request
+/// far below the simulator's dispatch cap; PerSensorPeriodic, which
+/// dispatches per sensor, can still reach it on large networks.
+inline constexpr double kMaxHorizonCycles = 100'000.0;
+
 /// Maximum accepted length of a client-supplied trace id (longer ids
 /// are rejected with bad_request so access-log lines stay bounded).
 inline constexpr std::size_t kMaxTraceIdLength = 128;
@@ -90,7 +101,7 @@ inline constexpr std::size_t kMaxTraceIdLength = 128;
 /// the access log and tracez ring — never in the wire echo.
 struct StageTimings {
   double parse_ms = 0.0;      ///< JSONL line -> ParsedRequest
-  double queue_ms = 0.0;      ///< admission -> worker dequeue
+  double queue_ms = 0.0;      ///< admission -> worker dequeue (0 inline)
   double cache_ms = 0.0;      ///< instance resolve + plan-cache probe
   double solve_ms = 0.0;      ///< sim::solve_network / sim::replan_round
   double serialize_ms = 0.0;  ///< Response -> JSONL line + write
@@ -180,7 +191,16 @@ struct Plan {
   std::size_t num_sensor_charges = 0;
   std::size_t dead_sensors = 0;
   std::uint64_t fingerprint = 0;  ///< cache key of the solved instance
+  /// The plan's wire JSON object, rendered once by seal_plan() so every
+  /// response serving this plan splices these bytes instead of
+  /// re-serializing it. Empty on a plan that was never sealed.
+  std::string json;
 };
+
+/// Renders `plan.json` from the plan's fields and hands the plan out in
+/// the shared immutable form caches and responses hold. Every site that
+/// builds a plan (solve, delta derivation, snapshot restore) ends here.
+std::shared_ptr<const Plan> seal_plan(Plan plan);
 
 enum class ErrorCode {
   kNone = 0,
@@ -235,6 +255,12 @@ struct Response {
 class WireError : public std::runtime_error {
  public:
   explicit WireError(const std::string& what) : std::runtime_error(what) {}
+
+  /// Set by parse_any_request once the line is a JSON object in a known
+  /// version: the request's string "id" (empty when it had none) and
+  /// its version, so the error answer can be matched to its request.
+  std::string id;
+  WireVersion version = WireVersion::kV1;
 };
 
 /// Thrown when "v" names a version this server does not speak, so
@@ -273,7 +299,9 @@ std::uint64_t parse_fingerprint_hex(const std::string& hex);
 
 /// Appends the plan object (the exact bytes to_jsonl emits for "plan")
 /// to `out`. Shared with the stream-session plan push so pushed plans
-/// are byte-identical to the same plan served over v1/v2.
+/// are byte-identical to the same plan served over v1/v2. A sealed plan
+/// is copied from `plan.json`; an unsealed one is rendered field by
+/// field into the same bytes.
 void append_plan_json(std::string& out, const Plan& plan);
 
 /// True when a request line is an mwc.svc.stream.v1 session frame:

@@ -443,6 +443,77 @@ TEST(NetServer, WireBytesMatchInProcessServerModuloLatency) {
   reference.shutdown();
 }
 
+TEST(NetServer, InlineHitsInterleaveWithPoolMissesInRequestOrder) {
+  // Default engine handler: repeats of a primed spec are answered on the
+  // loop thread as they are read, while each distinct instance solves on
+  // a worker. The replies must still come back in request order.
+  const auto preset = [](const std::string& id, std::uint64_t seed,
+                         std::size_t n) {
+    return RequestBuilder(id).preset(n, 3, 1000.0, seed).horizon(100.0)
+               .to_json_line() +
+           "\n";
+  };
+  ServerOptions options;
+  options.threads = 2;
+  Loop loop(options);
+  Client client(loop.net.port());
+  client.send_all(preset("prime", 1, 40));
+  const auto primed = client.read_lines(1);
+  ASSERT_EQ(primed.size(), 1u);
+  const std::uint64_t wakeups_before = loop.net.stats().wakeups;
+
+  std::string burst;
+  std::vector<std::string> ids;
+  std::size_t misses = 0;
+  for (std::size_t i = 0; i < 24; ++i) {
+    const std::string id = "q" + std::to_string(i);
+    if (i % 6 == 0) {
+      burst += preset(id, 100 + i, 2000);  // a cold solve on the pool
+      ++misses;
+    } else {
+      burst += preset(id, 1, 40);  // an inline hit
+    }
+    ids.push_back(id);
+  }
+  client.send_all(burst);
+
+  const auto lines = client.read_lines(ids.size());
+  ASSERT_EQ(lines.size(), ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const Json doc = Json::parse(lines[i]);
+    EXPECT_EQ(doc.at("id").as_string(), ids[i]);
+    EXPECT_TRUE(doc.at("ok").as_bool()) << lines[i];
+    EXPECT_EQ(doc.at("cached").as_bool(), i % 6 != 0) << ids[i];
+  }
+  // Only worker completions wake the loop; hits never do.
+  EXPECT_LE(loop.net.stats().wakeups - wakeups_before, misses);
+  EXPECT_EQ(loop.server.cache().hits(), ids.size() - misses);
+}
+
+TEST(NetServer, InlineHitBurstBeyondTheBufferCapClosesTheConnection) {
+  // Hits answer inside the read loop, before any flush: a burst whose
+  // answers outgrow the per-connection cap closes the connection instead
+  // of buffering them all.
+  const std::string hit = RequestBuilder("h").preset(40, 3, 1000.0, 1)
+                              .horizon(100.0)
+                              .to_json_line() +
+                          "\n";
+  ServerOptions options;
+  options.threads = 1;
+  NetServerOptions net_options;
+  net_options.max_buffered_bytes = 16 * 1024;
+  Loop loop(options, net_options);
+  Client client(loop.net.port());
+  client.send_all(hit);
+  ASSERT_EQ(client.read_lines(1).size(), 1u);
+
+  std::string burst;
+  for (int i = 0; i < 200; ++i) burst += hit;
+  client.send_all(burst);
+  EXPECT_TRUE(client.read_eof());
+  EXPECT_EQ(loop.net.stats().overflow_closed, 1u);
+}
+
 TEST(NetServer, StreamFramesRejectedWithoutHub) {
   ServerOptions options;
   options.threads = 1;

@@ -5,9 +5,11 @@
 // nondeterministic field, so each test zeroes it before comparing.
 #include <gtest/gtest.h>
 
+#include <future>
 #include <string>
 
 #include "svc/engine.hpp"
+#include "svc/server.hpp"
 #include "svc/wire.hpp"
 
 namespace mwc::svc {
@@ -55,6 +57,39 @@ TEST(GoldenV1, ImprovedModelResponseIsByteIdentical) {
       R"("total_distance":25077.433545319916,"num_dispatches":39,)"
       R"("num_sensor_charges":220,"dead_sensors":0,)"
       R"("fingerprint":"6eca9dd5584eace1"}})"
+      "\n");
+}
+
+TEST(GoldenV1, ServerCacheHitIsByteIdentical) {
+  // The repeat of the solved-preset request is answered from the spec
+  // memo on the submitting thread, splicing the plan's stored bytes: the
+  // client still sees the seed's bytes, with "cached":true.
+  const std::string line =
+      R"({"v":"mwc.svc.v1","id":"g1",)"
+      R"("network":{"preset":{"n":25,"q":2,"field":400,"seed":11}},)"
+      R"("cycles":{"values":[5,5,5,5,5,5,5,5,5,5,5,5,5,5,5,5,5,5,5,5,)"
+      R"(5,5,5,5,5]},"horizon":120})";
+  ServerOptions options;
+  options.threads = 1;
+  Server server(options);
+  std::promise<Response> solved;
+  server.submit_line(line, [&](const Response& r) { solved.set_value(r); });
+  ASSERT_TRUE(solved.get_future().get().ok);
+  Response hit;
+  ASSERT_TRUE(server.submit_line(line, [&](const Response& r) { hit = r; }));
+  server.shutdown();
+  hit.latency_ms = 0.0;
+  EXPECT_EQ(
+      to_jsonl(hit),
+      R"({"v":"mwc.svc.v1","id":"g1","ok":true,"cached":true,)"
+      R"("latency_ms":0,"plan":{"first_round_tours":[{"depot":0,)"
+      R"("sensors":[17,3,11,14,20,9,2,7,23,10,24,8,18,21,12,5,13,22,0],)"
+      R"("length":1481.0445615993488},{"depot":1,)"
+      R"("sensors":[19,1,6,15,16,4],"length":410.28973032833323}],)"
+      R"("first_round_length":1891.334291927682,)"
+      R"("total_distance":43500.688714336713,"num_dispatches":23,)"
+      R"("num_sensor_charges":575,"dead_sensors":0,)"
+      R"("fingerprint":"0c0f1095d4693a41"}})"
       "\n");
 }
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+
 namespace mwc::svc {
 namespace {
 
@@ -50,6 +55,40 @@ TEST(Json, IntegralNumbersPrintWithoutExponent) {
   j.set("big", Json(static_cast<std::int64_t>(1234567890123LL)));
   j.set("zero", Json(0.0));
   EXPECT_EQ(j.dump(), R"({"big":1234567890123,"zero":0})");
+}
+
+TEST(Json, NumberRenderingIsDefinedEverywhere) {
+  const auto render = [](double v) {
+    std::string out;
+    append_json_number(out, v);
+    return out;
+  };
+  // Whole numbers in the int64 range print as integers.
+  EXPECT_EQ(render(9007199254740992.0), "9007199254740992");  // 2^53
+  EXPECT_EQ(render(-9223372036854775808.0), "-9223372036854775808");
+  EXPECT_EQ(render(-0.0), "0");
+  EXPECT_EQ(render(-17.0), "-17");
+  // Beyond int64 (no defined cast) and fractions print as %.17g.
+  EXPECT_EQ(render(-1e19), "-1e+19");
+  EXPECT_EQ(render(9223372036854775808.0), "9.2233720368547758e+18");
+  EXPECT_EQ(render(1e300), "1.0000000000000001e+300");
+  EXPECT_EQ(render(2.5), "2.5");
+  // Non-finite values have no JSON spelling: null keeps the line valid.
+  EXPECT_EQ(render(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(render(-std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(render(std::numeric_limits<double>::quiet_NaN()), "null");
+  EXPECT_TRUE(Json::parse("[" + render(1e300) + "," +
+                          render(std::nan("")) + "]")
+                  .is_array());
+}
+
+TEST(Json, AsIntRejectsValuesOutsideInt64) {
+  EXPECT_EQ(Json::parse("-9223372036854775808").as_int(),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_THROW(Json::parse("9223372036854775808").as_int(), JsonError);
+  EXPECT_THROW(Json::parse("1e300").as_int(), JsonError);
+  EXPECT_THROW(Json::parse("-1e19").as_int(), JsonError);
+  EXPECT_THROW(Json::parse("2.5").as_int(), JsonError);
 }
 
 TEST(Json, RejectsMalformedInput) {

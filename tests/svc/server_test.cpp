@@ -5,10 +5,17 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <future>
+#include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include "svc/access_log.hpp"
+#include "svc/json.hpp"
+#include "svc/snapshot.hpp"
 
 namespace mwc::svc {
 namespace {
@@ -415,6 +422,278 @@ TEST(Server, EndToEndSolvesThroughDefaultEngineHandler) {
   EXPECT_EQ(server.cache().misses(), 1u);
   EXPECT_EQ(cached, 2u);
   EXPECT_EQ(server.cache().hits(), 2u);
+}
+
+/// A small preset request line (cycle model, so the solve is real).
+std::string preset_line(const std::string& id,
+                        WireVersion version = WireVersion::kV1,
+                        const std::string& trace_id = "") {
+  RequestBuilder builder(id);
+  builder.version(version).preset(12, 2, 100.0, 5).horizon(50.0);
+  if (!trace_id.empty()) builder.trace_id(trace_id);
+  return builder.to_json_line();
+}
+
+/// Submits one line and waits for its answer, however it is delivered.
+Response answer(Server& server, const std::string& line) {
+  std::promise<Response> answered;
+  server.submit_line(line,
+                     [&](const Response& r) { answered.set_value(r); });
+  return answered.get_future().get();
+}
+
+/// `response` serialized over an unsealed copy of its plan, so the plan
+/// body is rendered field by field instead of copied from `plan.json`.
+std::string rendered_bytes(Response response) {
+  Plan copy = *response.plan;
+  copy.json.clear();
+  response.plan = std::make_shared<const Plan>(std::move(copy));
+  return to_jsonl(response);
+}
+
+TEST(Server, SpecMemoHitsAnswerOnTheSubmittingThread) {
+  ServerOptions options;
+  options.threads = 1;
+  Server server(options);
+  const Response primed = answer(server, preset_line("p0"));
+  ASSERT_TRUE(primed.ok) << primed.message;
+  EXPECT_FALSE(primed.cached);
+
+  bool answered = false;
+  std::thread::id answered_on;
+  Response hit;
+  EXPECT_TRUE(server.submit_line(preset_line("h1"), [&](const Response& r) {
+    answered = true;
+    answered_on = std::this_thread::get_id();
+    hit = r;
+  }));
+  // Answered before submit_line returned, on this thread.
+  ASSERT_TRUE(answered);
+  EXPECT_EQ(answered_on, std::this_thread::get_id());
+  EXPECT_TRUE(hit.ok);
+  EXPECT_TRUE(hit.cached);
+  EXPECT_EQ(hit.id, "h1");
+  EXPECT_EQ(hit.plan, primed.plan);
+  EXPECT_EQ(server.cache().hits(), 1u);
+  EXPECT_EQ(server.cache().misses(), 1u);
+  server.shutdown();
+}
+
+TEST(Server, InlineHitBookkeepingCountsEveryRequest) {
+  const std::string log_path =
+      ::testing::TempDir() + "mwc_server_inline_hits.jsonl";
+  std::remove(log_path.c_str());
+  AccessLog log(log_path);
+  ASSERT_TRUE(log.ok());
+  ServerOptions options;
+  options.threads = 1;
+  options.access_log = &log;
+  options.recent_capacity = 64;
+  Server server(options);
+
+  constexpr std::size_t kHits = 20;
+  ASSERT_TRUE(answer(server, preset_line("p0")).ok);
+  for (std::size_t i = 0; i < kHits; ++i) {
+    const Response hit = answer(server, preset_line("h" + std::to_string(i)));
+    ASSERT_TRUE(hit.cached);
+  }
+  server.shutdown();
+  log.flush();
+
+  const std::uint64_t requests = kHits + 1;
+  const auto snapshot = server.metrics().snapshot();
+  EXPECT_EQ(snapshot.counters.at("svc.requests_accepted"), requests);
+  EXPECT_EQ(snapshot.counters.at("svc.completed"), requests);
+  EXPECT_EQ(snapshot.histograms.at("svc.request_latency_ms").count, requests);
+  for (const char* stage : {"parse", "queue", "cache", "solve", "serialize"}) {
+    const std::string name = std::string("svc.stage.") + stage + "_ms";
+    EXPECT_EQ(snapshot.histograms.at(name).count, requests) << name;
+    EXPECT_EQ(snapshot.histograms.at(name + ".v1.mintotaldistance").count,
+              requests)
+        << name;
+  }
+  EXPECT_EQ(log.lines_written(), requests);
+  const auto recent = server.recent_requests();
+  EXPECT_EQ(recent.size(), requests);
+  std::size_t cached = 0;
+  for (const auto& record : recent) cached += record.cached ? 1 : 0;
+  EXPECT_EQ(cached, kHits);
+  std::remove(log_path.c_str());
+}
+
+TEST(Server, InlineHitsAreRefusedOnceShutdownBegins) {
+  ServerOptions options;
+  options.threads = 1;
+  Server server(options);
+  ASSERT_TRUE(answer(server, preset_line("p0")).ok);
+  server.shutdown();
+
+  Response refused;
+  EXPECT_FALSE(server.submit_line(preset_line("late"), [&](const Response& r) {
+    refused = r;
+  }));
+  EXPECT_FALSE(refused.ok);
+  EXPECT_EQ(refused.error, ErrorCode::kShuttingDown);
+  EXPECT_EQ(refused.id, "late");
+  EXPECT_EQ(server.cache().hits(), 0u);  // the memo was never probed
+  EXPECT_EQ(server.metrics().snapshot().counters.at("svc.rejected.shutdown"),
+            1u);
+}
+
+TEST(Server, TracedHitEchoesParseQueueAndCacheStages) {
+  ServerOptions options;
+  options.threads = 1;
+  Server server(options);
+  ASSERT_TRUE(answer(server, preset_line("p0")).ok);
+
+  const Response hit =
+      answer(server, preset_line("t1", WireVersion::kV1, "hit-trace"));
+  ASSERT_TRUE(hit.cached);
+  EXPECT_EQ(hit.trace_id, "hit-trace");
+  ASSERT_TRUE(hit.has_timings);
+  EXPECT_GT(hit.stages.parse_ms, 0.0);
+  EXPECT_EQ(hit.stages.queue_ms, 0.0);
+  EXPECT_GT(hit.stages.cache_ms, 0.0);
+  EXPECT_EQ(hit.stages.solve_ms, 0.0);
+  const Json doc = Json::parse(to_jsonl(hit));
+  EXPECT_EQ(doc.at("t").at("queue_ms").as_double(), 0.0);
+  EXPECT_GT(doc.at("t").at("parse_ms").as_double(), 0.0);
+  EXPECT_GT(doc.at("t").at("cache_ms").as_double(), 0.0);
+  server.shutdown();
+}
+
+TEST(Server, HitBytesEqualTheFieldByFieldRendering) {
+  ServerOptions options;
+  options.threads = 1;
+  Server server(options);
+  const Response primed = answer(server, preset_line("p0"));
+  ASSERT_TRUE(primed.ok);
+  ASSERT_FALSE(primed.plan->json.empty());  // sealed when solved
+  EXPECT_EQ(to_jsonl(primed), rendered_bytes(primed));
+
+  // v1 and v2, traced and untraced: one spec, so every line is a hit.
+  for (const WireVersion version : {WireVersion::kV1, WireVersion::kV2}) {
+    for (const std::string trace : {"", "bytes-trace"}) {
+      const Response hit = answer(server, preset_line("h", version, trace));
+      ASSERT_TRUE(hit.cached);
+      EXPECT_EQ(hit.version, version);
+      EXPECT_EQ(hit.has_timings, !trace.empty() || version == WireVersion::kV2);
+      EXPECT_EQ(to_jsonl(hit), rendered_bytes(hit));
+    }
+  }
+  server.shutdown();
+}
+
+TEST(Server, DerivedAndSnapshotRestoredHitBytesMatchTheRendering) {
+  const std::string snapshot_path =
+      ::testing::TempDir() + "mwc_server_hit_bytes.snap";
+  ServerOptions options;
+  options.threads = 1;
+  {
+    Server server(options);
+    const Response base = answer(server, preset_line("base"));
+    ASSERT_TRUE(base.ok);
+    const std::string delta = DeltaBuilder("d", base.plan->fingerprint)
+                                  .move_sensor(1, {5.0, 5.0})
+                                  .to_json_line();
+    const Response derived = answer(server, delta);
+    ASSERT_TRUE(derived.derived) << derived.message;
+    ASSERT_FALSE(derived.plan->json.empty());
+    EXPECT_EQ(to_jsonl(derived), rendered_bytes(derived));
+    const Response derived_hit = answer(server, delta);
+    ASSERT_TRUE(derived_hit.cached);
+    EXPECT_EQ(to_jsonl(derived_hit), rendered_bytes(derived_hit));
+    server.shutdown();
+    ASSERT_EQ(save_cache_snapshot(server.cache(), snapshot_path), 2);
+  }
+
+  Server restored(options);
+  ASSERT_EQ(load_cache_snapshot(restored.cache(), snapshot_path), 2u);
+  // The snapshot holds plans, not the spec memo: the first repeat
+  // resolves on the pool and finds the plan, the second is a memo hit.
+  for (const char* id : {"r1", "r2"}) {
+    const Response hit = answer(restored, preset_line(id));
+    ASSERT_TRUE(hit.cached) << id;
+    ASSERT_FALSE(hit.plan->json.empty());
+    EXPECT_EQ(to_jsonl(hit), rendered_bytes(hit)) << id;
+  }
+  restored.shutdown();
+  std::remove(snapshot_path.c_str());
+}
+
+/// Submits a line the wire boundary must refuse: a structured
+/// bad_request naming `field`, with the request id echoed. The server
+/// then still serves a valid request.
+void expect_refused(const std::string& line, const std::string& field) {
+  ServerOptions options;
+  options.threads = 1;
+  Server server(options);
+  Response refused;
+  EXPECT_FALSE(server.submit_line(line, [&](const Response& r) {
+    refused = r;
+  }));
+  EXPECT_FALSE(refused.ok);
+  EXPECT_EQ(refused.error, ErrorCode::kBadRequest);
+  EXPECT_NE(refused.message.find(field), std::string::npos) << refused.message;
+  EXPECT_EQ(refused.id, "bad");
+  EXPECT_TRUE(answer(server, preset_line("next")).ok);
+  server.shutdown();
+}
+
+TEST(Server, HorizonBeyondTheCycleCapIsRefused) {
+  expect_refused(
+      R"({"id":"bad","network":{"preset":{"n":10,"q":1}},)"
+      R"("cycles":{"values":[1,1,1,1,1,1,1,1,1,1]},"horizon":1e12})",
+      "horizon");
+}
+
+TEST(Server, NegativePresetSizeIsRefused) {
+  expect_refused(
+      R"({"id":"bad","network":{"preset":{"n":-1,"q":1}},)"
+      R"("cycles":{"model":{}}})",
+      "network.preset.n");
+}
+
+TEST(Server, HugePresetSizeIsRefused) {
+  expect_refused(
+      R"({"id":"bad","network":{"preset":{"n":1e15,"q":1}},)"
+      R"("cycles":{"model":{}}})",
+      "network.preset.n");
+}
+
+TEST(Server, NegativeSlotLengthIsRefused) {
+  expect_refused(
+      R"({"id":"bad","network":{"preset":{"n":5,"q":1}},)"
+      R"("cycles":{"values":[1,1,1,1,1]},"slot_length":-1})",
+      "slot_length");
+}
+
+TEST(Server, ParseTimeErrorsEchoTheRequestId) {
+  expect_refused(
+      R"({"id":"bad","network":{"preset":{"n":5,"q":0}},)"
+      R"("cycles":{"values":[1,1,1,1,1]}})",
+      "network.preset.q");
+  expect_refused(R"({"id":"bad","network":{"preset":{"n":5,"q":1}}})",
+                 "cycles");
+
+  // A v2 line echoes its version too; a line whose id is not a string
+  // (or that never parsed) answers id "".
+  ServerOptions options;
+  options.threads = 1;
+  Server server(options);
+  Response v2;
+  server.submit_line(
+      R"({"v":"mwc.svc.v2","id":"v2bad","network":{"preset":{"n":0,"q":1}},)"
+      R"("cycles":{"model":{}}})",
+      [&](const Response& r) { v2 = r; });
+  EXPECT_EQ(v2.id, "v2bad");
+  EXPECT_EQ(v2.version, WireVersion::kV2);
+  Response numeric;
+  server.submit_line(R"({"id":7,"network":{"preset":{"n":5,"q":1}}})",
+                     [&](const Response& r) { numeric = r; });
+  EXPECT_EQ(numeric.error, ErrorCode::kBadRequest);
+  EXPECT_EQ(numeric.id, "");
+  server.shutdown();
 }
 
 }  // namespace

@@ -123,6 +123,30 @@ TEST(Wire, RejectsBadRequests) {
       WireError);
 }
 
+TEST(Wire, ParseErrorsCarryTheIdOnceTheSchemaIsKnown) {
+  const auto error_of = [](const std::string& line) {
+    try {
+      parse_any_request(line);
+    } catch (const WireError& e) {
+      return e;
+    }
+    ADD_FAILURE() << "expected a WireError: " << line;
+    return WireError("");
+  };
+  const WireError q0 = error_of(
+      R"({"v":"mwc.svc.v2","id":"q0","network":{"preset":{"n":3,"q":0}},)"
+      R"("cycles":{"values":[1,1,1]}})");
+  EXPECT_EQ(q0.id, "q0");
+  EXPECT_EQ(q0.version, WireVersion::kV2);
+  EXPECT_NE(std::string(q0.what()).find("network.preset.q"),
+            std::string::npos);
+  EXPECT_EQ(error_of(R"({"id":"nc","network":{"preset":{"n":3,"q":1}}})").id,
+            "nc");
+  EXPECT_EQ(error_of(R"({"bad json)").id, "");
+  EXPECT_EQ(error_of(R"(["id","x"])").id, "");
+  EXPECT_EQ(error_of(R"({"id":5,"network":{}})").id, "");
+}
+
 TEST(Wire, ErrorResponseSerializesStructuredError) {
   const Response r =
       error_response("r9", ErrorCode::kQueueFull, "queue full (capacity 2)");
