@@ -1,5 +1,8 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <string_view>
 
@@ -45,20 +48,35 @@ std::string CliArgs::get_or(const std::string& name,
   return v ? *v : def;
 }
 
-long long CliArgs::get_int_or(const std::string& name, long long def) const {
+long long CliArgs::get_int_or(const std::string& name, long long def,
+                              long long lo, long long hi) const {
   const auto v = get(name);
-  if (!v || v->empty()) return def;
+  if (!v) return def;
   char* end = nullptr;
+  errno = 0;
   const long long parsed = std::strtoll(v->c_str(), &end, 10);
-  return (end && *end == '\0') ? parsed : def;
+  if (!v->empty() && *end == '\0' && errno == 0 && parsed >= lo &&
+      parsed <= hi)
+    return parsed;
+  fail("--" + name + ": expected an integer in [" + std::to_string(lo) +
+       ", " + std::to_string(hi) + "], got '" + *v + "'");
+  return def;
 }
 
-double CliArgs::get_double_or(const std::string& name, double def) const {
+double CliArgs::get_double_or(const std::string& name, double def,
+                              double lo, double hi) const {
   const auto v = get(name);
-  if (!v || v->empty()) return def;
+  if (!v) return def;
   char* end = nullptr;
   const double parsed = std::strtod(v->c_str(), &end);
-  return (end && *end == '\0') ? parsed : def;
+  // NaN fails every comparison, so it is never in range.
+  if (!v->empty() && *end == '\0' && parsed >= lo && parsed <= hi)
+    return parsed;
+  char range[96];
+  std::snprintf(range, sizeof range, "[%.17g, %.17g]", lo, hi);
+  fail("--" + name + ": expected a number in " + range + ", got '" + *v +
+       "'");
+  return def;
 }
 
 bool CliArgs::get_bool_or(const std::string& name, bool def) const {
@@ -66,7 +84,21 @@ bool CliArgs::get_bool_or(const std::string& name, bool def) const {
   if (!v) return def;
   if (v->empty() || *v == "1" || *v == "true" || *v == "yes") return true;
   if (*v == "0" || *v == "false" || *v == "no") return false;
+  fail("--" + name + ": expected true or false, got '" + *v + "'");
   return def;
+}
+
+void CliArgs::allow_only(std::initializer_list<const char*> known) {
+  for (const auto& [flag, value] : flags_)
+    if (std::none_of(known.begin(), known.end(),
+                     [&](const char* name) { return flag == name; }))
+      return fail("unknown flag --" + flag);
+  if (!positional_.empty())
+    fail("unexpected argument '" + positional_.front() + "'");
+}
+
+void CliArgs::fail(std::string message) const {
+  if (error_.empty()) error_ = std::move(message);
 }
 
 long long env_int_or(const char* name, long long def) {

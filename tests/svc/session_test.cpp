@@ -56,15 +56,17 @@ std::uint64_t solve_base(Server& server) {
 }
 
 /// Thread-safe sink for unsolicited plan pushes (replans complete on
-/// solver workers).
+/// solver workers). Pushers notify under the lock and the destructor
+/// takes it, so a worker still inside a push never touches a destroyed
+/// condition variable.
 class PushCapture {
  public:
+  ~PushCapture() { std::lock_guard<std::mutex> lock(mutex_); }
+
   StreamHub::PushFn fn() {
     return [this](std::string line) {
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        lines_.push_back(std::move(line));
-      }
+      std::lock_guard<std::mutex> lock(mutex_);
+      lines_.push_back(std::move(line));
       cv_.notify_all();
       return true;
     };

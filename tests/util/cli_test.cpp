@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <vector>
 
@@ -66,6 +67,72 @@ TEST(CliArgs, FlagFollowedByFlagIsBoolean) {
 TEST(CliArgs, Program) {
   const auto args = parse({"myprog"});
   EXPECT_EQ(args.program(), "myprog");
+}
+
+TEST(CliArgsChecked, InRangeValuesAndAbsentFlagsPass) {
+  auto args = parse({"prog", "--threads", "4", "--gamma=0.5", "--on"});
+  args.allow_only({"threads", "gamma", "on", "port"});
+  EXPECT_EQ(args.get_int_or("threads", 0, 0, 1024), 4);
+  EXPECT_EQ(args.get_int_or("port", 7, 1, 65535), 7);
+  EXPECT_DOUBLE_EQ(args.get_double_or("gamma", 0.3, 0.0, 1.0), 0.5);
+  EXPECT_TRUE(args.get_bool_or("on", false));
+  EXPECT_EQ(args.error(), "");
+}
+
+TEST(CliArgsChecked, NegativeIntegerOutOfRangeNamesTheFlag) {
+  auto args = parse({"prog", "--threads", "-1"});
+  EXPECT_EQ(args.get_int_or("threads", 0, 0, 1024), 0);
+  EXPECT_EQ(args.error(), "--threads: expected an integer in [0, 1024], "
+                          "got '-1'");
+}
+
+TEST(CliArgsChecked, MalformedAndMissingNumbersAreErrors) {
+  for (const char* bad : {"abc", "12x", "", "99999999999999999999"}) {
+    auto args = parse({"prog", "--port", bad});
+    args.get_int_or("port", 0, 1, 65535);
+    EXPECT_NE(args.error().find("--port"), std::string::npos) << bad;
+  }
+  for (const char* bad : {"nan", "inf", "1e", "-0.5"}) {
+    auto args = parse({"prog", "--margin", bad});
+    args.get_double_or("margin", 0.1, 0.0, 1.0);
+    EXPECT_NE(args.error().find("--margin"), std::string::npos) << bad;
+  }
+}
+
+TEST(CliArgsChecked, RangesIncludeTheirEnds) {
+  auto closed = parse({"prog", "--gamma=1"});
+  EXPECT_DOUBLE_EQ(closed.get_double_or("gamma", 0.3, 0.0, 1.0), 1.0);
+  EXPECT_EQ(closed.error(), "");
+  // An open end is the closed range up to the next double inside.
+  auto open = parse({"prog", "--gamma=1"});
+  open.get_double_or("gamma", 0.3, 0.0, std::nextafter(1.0, 0.0));
+  EXPECT_EQ(open.error(),
+            "--gamma: expected a number in [0, 0.99999999999999989], "
+            "got '1'");
+}
+
+TEST(CliArgsChecked, UnknownFlagsAndStrayArgumentsAreErrors) {
+  auto typo = parse({"prog", "--prot", "9000"});
+  typo.allow_only({"port"});
+  EXPECT_EQ(typo.error(), "unknown flag --prot");
+
+  // A single dash is not a flag: "-port" lands among the positionals.
+  auto stray = parse({"prog", "-port", "9000"});
+  stray.allow_only({"port"});
+  EXPECT_EQ(stray.error(), "unexpected argument '-port'");
+}
+
+TEST(CliArgsChecked, BoolRejectsNonBooleanValues) {
+  auto args = parse({"prog", "--sessions", "maybe"});
+  EXPECT_FALSE(args.get_bool_or("sessions", false));
+  EXPECT_EQ(args.error(), "--sessions: expected true or false, got 'maybe'");
+}
+
+TEST(CliArgsChecked, FirstErrorWins) {
+  auto args = parse({"prog", "--a=x", "--b=y"});
+  args.get_int_or("a", 0, 0, 1);
+  args.get_int_or("b", 0, 0, 1);
+  EXPECT_EQ(args.error().rfind("--a:", 0), 0u);
 }
 
 TEST(EnvIntOr, ReadsAndFallsBack) {

@@ -1,66 +1,30 @@
 // mwcd — the mwc::svc scheduling daemon.
 //
-// Speaks the mwc.svc.v1/v2 JSONL wire protocol (one request per line, one
-// response per line, matched by id; see docs/SERVICE.md) plus the
-// mwc.svc.admin.v1 introspection family ({"admin":"statusz|metrics|
-// tracez|config"}, see docs/OBSERVABILITY.md) on the same transport.
-// Two transports:
+// Speaks the mwc.svc.v1/v2 JSONL wire protocol (see docs/SERVICE.md),
+// the mwc.svc.admin.v1 introspection family (docs/OBSERVABILITY.md) and,
+// with --sessions, mwc.svc.stream.v1 sessions, through one transport:
+// svc::NetServer serves stdin/stdout as a connection and, with --port N,
+// TCP connections on 127.0.0.1:N — same framing, request order, guards,
+// sessions and drain. Without --port the daemon exits after stdin EOF
+// once every owed response is written. SIGPIPE is ignored, so a closed
+// stdout ends only the stdio connection; SIGINT/SIGTERM stop the loop,
+// flush what is owed, and drain.
 //
-//   * stdin/stdout (default): reads requests until EOF or SIGINT/SIGTERM,
-//     then drains all accepted work and exits — the mode mwc_loadgen and
-//     the CI smoke job drive through a pipe;
-//   * TCP (--port N): a single non-blocking epoll event loop
-//     (svc::NetServer) serves every connection on 127.0.0.1:N — clients
-//     may pipeline requests back-to-back on one socket and always get
-//     responses in request order; SIGINT/SIGTERM deterministically stops
-//     the loop, flushes every response owed, and drains.
+// Every graceful exit, signals included, writes the --metrics-out /
+// --trace-out sidecars and, with --cache-snapshot, rewrites the PlanCache
+// snapshot loaded at startup (a missing or invalid file is ignored). An
+// unknown flag, a stray argument, or a malformed or out-of-range value
+// exits 2 before anything starts.
 //
-// Both transports write the --metrics-out / --trace-out sidecars on
-// *every* graceful exit path, signals included (stdio uses a self-pipe so
-// a Ctrl-C'd run doesn't lose its metrics). With --cache-snapshot the
-// daemon reloads its PlanCache from PATH at startup (ignoring a missing
-// or invalid file) and rewrites PATH after draining, so a restarted
-// daemon answers repeat requests warm.
-//
-// Flags:
-//   --queue-depth N          max in-flight requests before queue_full (64)
-//   --threads N              solver worker threads (0 = hardware)
-//   --cache-capacity N       PlanCache capacity in plans; 0 disables (128)
-//   --cache-shards N         PlanCache shard count (8)
-//   --cache-snapshot FILE    load the plan cache from FILE at start and
-//                            save it back after draining
-//   --port N                 serve TCP on 127.0.0.1:N instead of stdio
-//   --sessions               enable mwc.svc.stream.v1 streaming sessions
-//                            (TCP only; stdio rejects stream frames with
-//                            the structured sessions_disabled error)
-//   --max-sessions N         live session cap across connections (64)
-//   --session-gamma G        EWMA weight of new rate observations (0.3)
-//   --session-margin M       deadline-trigger hysteresis fraction (0.1)
-//   --session-speed V        charger speed, field units / cycle unit (1000)
-//   --session-charge-time S  per-visit charge time in cycle units (0)
-//   --session-interval S     min cycle-time between replans/session (0)
-//   --idle-timeout-ms MS     close TCP connections idle for MS (0 = never)
-//   --drain-timeout-ms MS    on shutdown, force-close connections whose
-//                            output cannot flush after MS (5000; 0 = wait)
-//   --max-conns N            concurrent TCP connection cap (1024)
-//   --metrics-out FILE       write the global obs registry (mwc.metrics.v1
-//                            JSON) after draining
-//   --trace-out FILE         enable span collection, write a Chrome trace
-//   --access-log FILE        append one JSONL line per completed request
-//   --access-log-slow-ms MS  only log requests slower than MS (0 = all)
+// Flags: the allow_only() list in main(), with each default and range
+// beside it; docs/SERVICE.md ("mwcd — the daemon") describes them.
 #include <atomic>
-#include <cerrno>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <utility>
 
-#include <poll.h>
 #include <unistd.h>
 
 #include "obs/obs.hpp"
@@ -73,7 +37,6 @@
 #include "svc/server.hpp"
 #include "svc/session.hpp"
 #include "svc/snapshot.hpp"
-#include "svc/wire.hpp"
 #include "util/cli.hpp"
 
 namespace {
@@ -82,131 +45,14 @@ using mwc::svc::AdminHandler;
 using mwc::svc::NetServer;
 using mwc::svc::NetServerOptions;
 using mwc::svc::NetStats;
-using mwc::svc::Response;
 using mwc::svc::Server;
 using mwc::svc::SessionManager;
 using mwc::svc::SessionOptions;
 using mwc::svc::StreamStats;
 
-/// Serializes responses onto one stream; callbacks fire from any worker.
-class LineSink {
- public:
-  explicit LineSink(std::FILE* out) : out_(out) {}
-
-  void write(const Response& response) {
-    write_line(mwc::svc::to_jsonl(response));
-  }
-
-  /// Raw pre-serialized JSONL line (admin responses).
-  void write_line(const std::string& line) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::fwrite(line.data(), 1, line.size(), out_);
-    std::fflush(out_);
-  }
-
- private:
-  std::FILE* out_;
-  std::mutex mutex_;
-};
-
-/// Dispatches one inbound line: admin requests answer synchronously,
-/// everything else goes through the server's admission path.
-void dispatch_line(Server& server, const AdminHandler& admin,
-                   const std::string& line, LineSink& sink, const char* peer,
-                   const std::function<void(const Response&)>& callback) {
-  // Streaming sessions need the TCP transport's ordered push path; the
-  // stdio transport rejects stream frames with the structured error
-  // instead of letting the version string parse as unsupported_version.
-  if (mwc::svc::is_stream_frame(line)) {
-    sink.write_line(mwc::svc::stream_error_line(
-        mwc::svc::stream_frame_id(line),
-        mwc::svc::ErrorCode::kSessionsDisabled,
-        "streaming sessions require the TCP transport (--port) with "
-        "--sessions"));
-    return;
-  }
-  std::string admin_response;
-  if (admin.try_handle(line, &admin_response)) {
-    sink.write_line(admin_response);
-    return;
-  }
-  server.submit_line(line, callback, peer);
-}
-
-// Self-pipe: signal handlers write one byte, the stdio poll loop wakes
-// up and begins a graceful drain — so SIGINT/SIGTERM runs still write
-// their --metrics-out / --trace-out sidecars (async-signal-safe, unlike
-// doing the drain in the handler).
-std::atomic<int> g_signal_pipe_w{-1};
-
-void notify_signal_pipe(int) {
-  const int fd = g_signal_pipe_w.load(std::memory_order_relaxed);
-  if (fd >= 0) {
-    const char byte = 1;
-    [[maybe_unused]] const ssize_t rc = ::write(fd, &byte, 1);
-  }
-}
-
-int run_stdio(Server& server, const AdminHandler& admin) {
-  LineSink sink(stdout);
-  const auto callback = [&sink](const Response& r) { sink.write(r); };
-
-  int pipe_fds[2] = {-1, -1};
-  if (::pipe(pipe_fds) != 0) {
-    std::perror("pipe");
-    return 1;
-  }
-  g_signal_pipe_w.store(pipe_fds[1], std::memory_order_relaxed);
-  std::signal(SIGINT, notify_signal_pipe);
-  std::signal(SIGTERM, notify_signal_pipe);
-
-  std::string pending;
-  char buffer[65536];
-  bool signaled = false;
-  while (!signaled) {
-    pollfd fds[2] = {{STDIN_FILENO, POLLIN, 0}, {pipe_fds[0], POLLIN, 0}};
-    if (::poll(fds, 2, -1) < 0) {
-      if (errno == EINTR) continue;  // handler ran before the pipe write
-      break;
-    }
-    if ((fds[1].revents & POLLIN) != 0) {
-      signaled = true;  // drain accepted work, skip unread input
-      break;
-    }
-    if ((fds[0].revents & (POLLIN | POLLHUP)) == 0) continue;
-    const ssize_t got = ::read(STDIN_FILENO, buffer, sizeof buffer);
-    if (got <= 0) break;  // EOF (or read error): drain and exit
-    pending.append(buffer, static_cast<std::size_t>(got));
-    std::size_t start = 0;
-    for (;;) {
-      const std::size_t nl = pending.find('\n', start);
-      if (nl == std::string::npos) break;
-      std::string line = pending.substr(start, nl - start);
-      start = nl + 1;
-      while (!line.empty() && line.back() == '\r') line.pop_back();
-      if (!line.empty())
-        dispatch_line(server, admin, line, sink, "stdio", callback);
-    }
-    pending.erase(0, start);
-  }
-  // A final unterminated line is still a request (EOF ends it).
-  while (!pending.empty() &&
-         (pending.back() == '\n' || pending.back() == '\r'))
-    pending.pop_back();
-  if (!pending.empty() && !signaled)
-    dispatch_line(server, admin, pending, sink, "stdio", callback);
-
-  g_signal_pipe_w.store(-1, std::memory_order_relaxed);
-  ::close(pipe_fds[0]);
-  ::close(pipe_fds[1]);
-  server.shutdown();
-  return 0;
-}
-
-// SIGINT/SIGTERM call NetServer::request_stop (async-signal-safe: an
-// atomic flag plus an eventfd write) — the loop flushes owed responses,
-// closes every connection, and returns. No thread ever blocks in read()
-// past the signal.
+// The NetServer, set while it runs. SIGINT/SIGTERM call its async-signal-
+// safe request_stop(); statusz (answered on the loop thread) reads its
+// stats.
 std::atomic<NetServer*> g_net_server{nullptr};
 
 void stop_net_server(int) {
@@ -214,22 +60,22 @@ void stop_net_server(int) {
   if (net != nullptr) net->request_stop();
 }
 
-int run_tcp(Server& server, const AdminHandler& admin,
-            NetServerOptions options,
-            const std::shared_ptr<std::atomic<NetServer*>>& statusz_handle,
-            mwc::svc::StreamHub* sessions) {
-  NetServer net(server, &admin, std::move(options), sessions);
-  if (!net.start()) return 1;
-  statusz_handle->store(&net);
-  g_net_server.store(&net);
+/// Serves stdin/stdout, plus TCP when `options.port` > 0, until stopped
+/// or, with no listener, until stdio is done; then drains the server.
+int serve(Server& server, const AdminHandler& admin,
+          const NetServerOptions& options, SessionManager* sessions) {
+  NetServer net(server, &admin, options, sessions);
+  const int port = options.port;
+  if (port > 0 && !net.start()) return 1;
+  if (!net.adopt(STDIN_FILENO, STDOUT_FILENO, "stdio") && port <= 0) return 1;
+  if (port > 0)
+    std::fprintf(stderr, "mwcd: listening on 127.0.0.1:%d (epoll)\n",
+                 net.port());
+  g_net_server.store(&net, std::memory_order_release);
   std::signal(SIGINT, stop_net_server);
   std::signal(SIGTERM, stop_net_server);
-  std::fprintf(stderr, "mwcd: listening on 127.0.0.1:%d (epoll)\n",
-               net.port());
   net.run();
   g_net_server.store(nullptr);
-  statusz_handle->store(nullptr);
-  server.shutdown();
   return 0;
 }
 
@@ -238,45 +84,64 @@ int run_tcp(Server& server, const AdminHandler& admin,
 int main(int argc, char** argv) {
   mwc::CliArgs args(argc, argv);
   const double start_us = mwc::obs::now_us();
+  constexpr double kMaxMs = 1e9;
+  constexpr double kMaxTime = 1e12;  // the session wire bound on times
+  args.allow_only({"queue-depth", "threads", "cache-capacity",
+                   "cache-shards", "cache-snapshot", "port", "sessions",
+                   "max-sessions", "session-gamma", "session-margin",
+                   "session-speed", "session-charge-time",
+                   "session-interval", "idle-timeout-ms", "drain-timeout-ms",
+                   "max-conns", "metrics-out", "trace-out", "access-log",
+                   "access-log-slow-ms"});
 
   mwc::svc::ServerOptions options;
-  options.queue_capacity =
-      static_cast<std::size_t>(args.get_int_or("queue-depth", 64));
-  options.threads = static_cast<std::size_t>(args.get_int_or("threads", 0));
-  options.cache_capacity =
-      static_cast<std::size_t>(args.get_int_or("cache-capacity", 128));
+  options.queue_capacity = static_cast<std::size_t>(
+      args.get_int_or("queue-depth", 64, 1, 1 << 20));
+  options.threads =
+      static_cast<std::size_t>(args.get_int_or("threads", 0, 0, 1024));
+  options.cache_capacity = static_cast<std::size_t>(
+      args.get_int_or("cache-capacity", 128, 0, 1 << 24));
   options.cache_shards =
-      static_cast<std::size_t>(args.get_int_or("cache-shards", 8));
+      static_cast<std::size_t>(args.get_int_or("cache-shards", 8, 1, 1024));
   const std::string metrics_path = args.get_or("metrics-out", "");
   const std::string trace_path = args.get_or("trace-out", "");
   const std::string access_log_path = args.get_or("access-log", "");
   const double access_log_slow_ms =
-      args.get_double_or("access-log-slow-ms", 0.0);
+      args.get_double_or("access-log-slow-ms", 0.0, 0.0, kMaxMs);
   const std::string snapshot_path = args.get_or("cache-snapshot", "");
-  const int port = static_cast<int>(args.get_int_or("port", 0));
+  const int port = static_cast<int>(args.get_int_or("port", 0, 1, 65535));
   NetServerOptions net_options;
   net_options.port = port;
-  net_options.idle_timeout_ms = args.get_double_or("idle-timeout-ms", 0.0);
+  net_options.idle_timeout_ms =
+      args.get_double_or("idle-timeout-ms", 0.0, 0.0, kMaxMs);
   net_options.drain_timeout_ms =
-      args.get_double_or("drain-timeout-ms", 5000.0);
-  net_options.max_connections =
-      static_cast<std::size_t>(args.get_int_or("max-conns", 1024));
+      args.get_double_or("drain-timeout-ms", 5000.0, 0.0, kMaxMs);
+  net_options.max_connections = static_cast<std::size_t>(
+      args.get_int_or("max-conns", 1024, 1, 1 << 20));
   const bool sessions_enabled = args.get_bool_or("sessions", false);
   SessionOptions session_options;
-  session_options.max_sessions =
-      static_cast<std::size_t>(args.get_int_or("max-sessions", 64));
-  session_options.gamma = args.get_double_or("session-gamma", 0.3);
-  session_options.margin = args.get_double_or("session-margin", 0.1);
-  session_options.travel_speed =
-      args.get_double_or("session-speed", 1000.0);
+  session_options.max_sessions = static_cast<std::size_t>(
+      args.get_int_or("max-sessions", 64, 1, 1 << 20));
+  // Open ends: the closed range up to the next double inside.
+  session_options.gamma =
+      args.get_double_or("session-gamma", 0.3, std::nextafter(0.0, 1.0),
+                         std::nextafter(1.0, 0.0));
+  session_options.margin = args.get_double_or("session-margin", 0.1, 0.0,
+                                              std::nextafter(1.0, 0.0));
+  session_options.travel_speed = args.get_double_or(
+      "session-speed", 1000.0, std::nextafter(0.0, 1.0), kMaxTime);
   session_options.charge_time =
-      args.get_double_or("session-charge-time", 0.0);
+      args.get_double_or("session-charge-time", 0.0, 0.0, kMaxTime);
   session_options.min_replan_interval =
-      args.get_double_or("session-interval", 0.0);
-  if (sessions_enabled && port <= 0)
-    std::fprintf(stderr,
-                 "mwcd: --sessions requires --port; stream frames on "
-                 "stdio are rejected\n");
+      args.get_double_or("session-interval", 0.0, 0.0, kMaxTime);
+  if (!args.error().empty()) {
+    std::fprintf(stderr, "mwcd: %s\n", args.error().c_str());
+    return 2;
+  }
+  // A closed stdout ends the stdio connection (EPIPE), not the process;
+  // a background `mwcd --port N &` reading its terminal gets EIO.
+  std::signal(SIGPIPE, SIG_IGN);
+  std::signal(SIGTTIN, SIG_IGN);
   if (!trace_path.empty()) mwc::obs::set_trace_enabled(true);
 
   std::unique_ptr<mwc::svc::AccessLog> access_log;
@@ -296,9 +161,9 @@ int main(int argc, char** argv) {
     Server server(options);
     // Declared after `server` so it is destroyed first (its destructor
     // drains the server, so no replan callback outlives the session
-    // table); run_tcp's NetServer dies before either.
+    // table); the NetServer dies before either.
     std::unique_ptr<SessionManager> sessions;
-    if (sessions_enabled && port > 0)
+    if (sessions_enabled)
       sessions = std::make_unique<SessionManager>(server, session_options);
 
     if (!snapshot_path.empty() && options.cache_capacity > 0) {
@@ -314,10 +179,6 @@ int main(int argc, char** argv) {
                      restored);
     }
 
-    // statusz_extra must be wired before AdminHandler copies AdminInfo,
-    // but the NetServer only exists inside run_tcp — bridge with an
-    // atomic handle the hook dereferences at call time.
-    auto net_handle = std::make_shared<std::atomic<NetServer*>>(nullptr);
     SessionManager* const sessions_ptr = sessions.get();
     mwc::svc::AdminInfo info;
     info.build = std::string("mwcd libmwc/1.0.0 (obs ") +
@@ -326,8 +187,8 @@ int main(int argc, char** argv) {
     info.start_us = start_us;
     info.metrics_out = metrics_path;
     info.trace_out = trace_path;
-    info.statusz_extra = [net_handle, sessions_ptr](mwc::svc::Json& s) {
-      NetServer* net = net_handle->load(std::memory_order_acquire);
+    info.statusz_extra = [sessions_ptr](mwc::svc::Json& s) {
+      NetServer* net = g_net_server.load(std::memory_order_acquire);
       if (net == nullptr) return;
       const NetStats st = net->stats();
       mwc::svc::Json n = mwc::svc::Json::object();
@@ -363,9 +224,7 @@ int main(int argc, char** argv) {
       s.set("sessions", std::move(j));
     };
     AdminHandler admin(server, info);
-    rc = port > 0 ? run_tcp(server, admin, net_options, net_handle,
-                            sessions.get())
-                  : run_stdio(server, admin);
+    rc = serve(server, admin, net_options, sessions.get());
 
     // Snapshot after the drain (cache fully settled) but while the
     // server is alive; sidecars below then record the save counters.
