@@ -36,11 +36,8 @@ ABLS="abl_tour_improvement abl_charger_count abl_rounding abl_fleet \
   done
   echo
   scripts/bench_kernels.sh "$OUT/BENCH_kernels.json"
-  echo
-  scripts/bench_spatial.sh "$OUT/BENCH_spatial.json"
 } | tee "$OUT/reproduction_run.txt"
 
 echo
 echo "done: tables in $OUT/reproduction_run.txt, CSVs and SVG charts in $OUT/,"
-echo "      SIMD kernel grid in $OUT/BENCH_kernels.json, spatial-index grid"
-echo "      in $OUT/BENCH_spatial.json"
+echo "      SIMD kernel grid in $OUT/BENCH_kernels.json"

@@ -94,8 +94,8 @@ void KdTree::knn_search(
   // splitting plane is no farther than the current k-th best. The bound
   // must be inclusive: a far-side point at *exactly* the k-th distance
   // with a smaller index wins the (d2, index) tie-break, and a strict
-  // prune would discard it (GridIndex scans whole cells and never prunes
-  // such ties — tests/geom/soa_test.cpp pins the two indexes identical).
+  // prune would discard it (tests/geom/soa_test.cpp pins the lists to a
+  // brute-force reference under mass ties).
   if (heap.size() < k || squared_norm(delta, 0.0) <= heap.front().first)
     knn_search(far_child, query, k, heap);
 }

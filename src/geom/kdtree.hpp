@@ -1,7 +1,7 @@
 // Static 2-d kd-tree with nearest-neighbour and range queries. Built once
 // over an immutable point set (median splits, implicit balanced layout).
-// Complements geom/grid_index.hpp: the grid wins on uniform deployments,
-// the kd-tree on clustered ones; bench/micro_spatial quantifies this.
+// The library's one spatial index: robust on clustered deployments as
+// well as uniform ones.
 #pragma once
 
 #include <cstddef>

@@ -30,7 +30,7 @@ struct Point {
 
 /// The one definition of squared Euclidean arithmetic: dx*dx + dy*dy in
 /// exactly this order. Every distance path — Point/BBox overloads, the
-/// KdTree/GridIndex pruning tests, and the SIMD kernels in geom/simd.hpp
+/// KdTree pruning tests, and the SIMD kernels in geom/simd.hpp
 /// (per-lane) — routes through this helper, so the scalar fallback and
 /// every vector backend compute bit-identical values.
 constexpr double squared_norm(double dx, double dy) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "obs/obs.hpp"
 #include "tsp/split.hpp"
@@ -53,98 +54,69 @@ Simulator::Simulator(const wsn::Network& network,
   MWC_ASSERT(cycles.n() == network.n());
 }
 
+std::vector<geom::Point> round_points(const wsn::Network& network,
+                                      const std::vector<std::size_t>& sensors) {
+  std::vector<geom::Point> points;
+  points.reserve(network.q() + sensors.size());
+  points.insert(points.end(), network.depots().begin(),
+                network.depots().end());
+  for (const std::size_t id : sensors) {
+    MWC_ASSERT_MSG(id < network.n(), "round sensor id out of range");
+    points.push_back(network.sensor_points()[id]);
+  }
+  return points;
+}
+
 std::uint64_t Simulator::set_hash(const std::vector<std::size_t>& sensors) {
   std::uint64_t h = 0x9e3779b97f4a7c15ULL + sensors.size();
   for (std::size_t id : sensors) h = mix64(h, id);
   return h;
 }
 
-const tsp::CandidateGraph& Simulator::shared_candidates() const {
-  if (!cand_graph_) {
-    cand_graph_ = std::make_unique<tsp::CandidateGraph>(
-        tsp::CandidateGraph::build(oracle_.points(),
-                                   options_.tour_options.candidate_options));
+const Simulator::TourCost& Simulator::dispatch_cost(
+    const std::vector<std::size_t>& sensors) {
+  const std::uint64_t key = set_hash(sensors);
+  if (const auto it = cost_cache_.find(key); it != cost_cache_.end()) {
+    cache_hits_c_.add(1);
+    MWC_OBS_COUNT("sim.tour_cache_hits");
+    return it->second;
   }
-  return *cand_graph_;
-}
-
-tsp::QRootedTours Simulator::dispatch_tours(
-    const std::vector<std::size_t>& sensors) const {
-  tsp::QRootedOptions topts = options_.tour_options;
-  tsp::CandidateGraph dispatch_graph;
-  if (topts.candidates == nullptr) {
-    // Candidate indices must coincide with view-local indices: the shared
-    // full-space graph matches only the identity dispatch (all n sensors
-    // in order); any proper subset gets its own subspace graph, amortized
-    // by the tour-cost memoization (one build per distinct set).
-    bool identity = sensors.size() == network_.n();
-    for (std::size_t j = 0; identity && j < sensors.size(); ++j)
-      identity = sensors[j] == j;
-    if (identity) {
-      topts.candidates = &shared_candidates();
-      MWC_OBS_COUNT("tsp.cand.shared_reuse");
-    } else {
-      std::vector<geom::Point> pts;
-      pts.reserve(network_.q() + sensors.size());
-      pts.insert(pts.end(), network_.depots().begin(),
-                 network_.depots().end());
-      for (std::size_t id : sensors)
-        pts.push_back(network_.sensor_points()[id]);
-      dispatch_graph =
-          tsp::CandidateGraph::build(pts, topts.candidate_options);
-      topts.candidates = &dispatch_graph;
-    }
-  }
-  return tsp::q_rooted_tsp(oracle_.dispatch_view(sensors), network_.q(),
-                           topts);
-}
-
-Simulator::TourCost Simulator::compute_cost(
-    const std::vector<std::size_t>& sensors) const {
+  cache_misses_c_.add(1);
+  MWC_OBS_COUNT("sim.tour_cache_misses");
   MWC_OBS_SCOPE("sim.compute_tour_cost");
-  const auto tours = dispatch_tours(sensors);
+
+  // Candidate indices must coincide with view-local indices, so the set
+  // gets a graph over its own round points.
+  tsp::QRootedOptions topts = options_.tour_options;
+  std::shared_ptr<const tsp::CandidateGraph> graph;
+  if (topts.candidates == nullptr) {
+    graph = std::make_shared<const tsp::CandidateGraph>(
+        tsp::CandidateGraph::build(round_points(network_, sensors),
+                                   topts.candidate_options));
+    topts.candidates = graph.get();
+  }
   const auto distances = oracle_.dispatch_view(sensors);
+  tsp::QRootedTours tours =
+      tsp::q_rooted_tsp(distances, network_.q(), topts);
 
   TourCost cost;
   cost.per_depot.reserve(tours.tours.size());
-  if (options_.trip_capacity > 0.0) {
-    // Range-limited vehicles: split each tour into capacity-respecting
+  for (std::size_t l = 0; l < tours.tours.size(); ++l) {
+    // Range-limited vehicles split each tour into capacity-respecting
     // trips; each depot's trip lengths accumulate on its charger.
-    for (std::size_t l = 0; l < tours.tours.size(); ++l) {
-      const double depot_cost =
-          tsp::split_tour_capacity(distances, tours.tours[l], l,
-                                   options_.trip_capacity)
-              .total_length;
-      cost.per_depot.push_back(depot_cost);
-      cost.total += depot_cost;
-    }
-    return cost;
+    const double depot_cost =
+        options_.trip_capacity > 0.0
+            ? tsp::split_tour_capacity(distances, tours.tours[l], l,
+                                       options_.trip_capacity)
+                  .total_length
+            : tours.tours[l].length_with(distances);
+    cost.per_depot.push_back(depot_cost);
+    cost.total += depot_cost;  // unsplit: the same sum as total_length
   }
 
-  cost.total = tours.total_length;
-  for (const auto& tour : tours.tours)
-    cost.per_depot.push_back(tour.length_with(distances));
-  return cost;
-}
-
-Simulator::TourCost Simulator::dispatch_cost(
-    const std::vector<std::size_t>& sensors) {
-  const std::uint64_t key =
-      options_.cache_tour_costs ? set_hash(sensors) : 0;
-  if (options_.cache_tour_costs) {
-    const auto it = cost_cache_.find(key);
-    if (it != cost_cache_.end()) {
-      cache_hits_c_.add(1);
-      MWC_OBS_COUNT("sim.tour_cache_hits");
-      return it->second;
-    }
-    cache_misses_c_.add(1);
-    MWC_OBS_COUNT("sim.tour_cache_misses");
-  }
-
-  TourCost cost = compute_cost(sensors);
-  if (options_.cache_tour_costs) cost_cache_.emplace(key, cost);
-  return cost;
+  if (!first_round_)
+    first_round_ = CostedRound{sensors, std::move(tours), std::move(graph)};
+  return cost_cache_.emplace(key, std::move(cost)).first->second;
 }
 
 SimResult Simulator::run(charging::Policy& policy) {
@@ -215,7 +187,7 @@ SimResult Simulator::run(charging::Policy& policy) {
         dispatch_time <= next_slot_time) {
       // Execute the dispatch.
       MWC_OBS_SCOPE("sim.dispatch");
-      const auto cost = dispatch_cost(dispatch->sensors);
+      const TourCost& cost = dispatch_cost(dispatch->sensors);
       result.service_cost += cost.total;
       for (std::size_t l = 0; l < cost.per_depot.size(); ++l)
         result.per_charger_cost[l] += cost.per_depot[l];
@@ -241,8 +213,10 @@ SimResult Simulator::run(charging::Policy& policy) {
       MWC_OBS_HISTOGRAM("sim.residual_margin", dispatch_margin, 0.5, 1.0,
                         2.0, 5.0, 10.0, 20.0, 50.0);
       policy.on_dispatch_executed(view, *dispatch);
-      MWC_ASSERT_MSG(result.num_dispatches <= options_.max_dispatches,
-                     "dispatch cap exceeded (runaway policy?)");
+      if (result.num_dispatches > options_.max_dispatches)
+        throw DispatchCapExceeded(
+            "dispatch cap exceeded (runaway policy?): more than " +
+            std::to_string(options_.max_dispatches) + " dispatches");
       continue;
     }
 

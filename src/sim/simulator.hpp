@@ -14,11 +14,15 @@
 // length of the q closed tours that Algorithm 2 (tsp::q_rooted_tsp) builds
 // over the dispatch set — identical costing for every policy. Costs are
 // memoized by dispatch set, which collapses the K+1 distinct round classes
-// of MinTotalDistance to K+1 tour constructions per run.
+// of MinTotalDistance to K+1 tour constructions per run. The first round
+// it costs is kept whole (tours, forest, candidate graph): that is the
+// round sim::solve_network serves, so no caller builds it a second time.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
@@ -41,24 +45,46 @@ struct SimOptions {
   /// How each round's q tours are built (construction heuristic +
   /// optional 2-opt/Or-opt polish). Defaults match the paper. Unless the
   /// options already carry a graph, the simulator gives every round a
-  /// k-NN candidate graph, so the MSF runs candidate-pruned Prim (and
-  /// non-exhaustive polish scans candidates): the lazily built shared
-  /// graph over the full combined space for full dispatches, or a
-  /// per-dispatch subspace graph otherwise (memoized with the tour cost,
-  /// so each distinct set builds at most once).
+  /// k-NN candidate graph over the round's own points (depots, then the
+  /// dispatch set in order), so the MSF runs candidate-pruned Prim and
+  /// non-exhaustive polish scans candidates. The graph is built with the
+  /// memoized cost, so each distinct set builds one.
   tsp::QRootedOptions tour_options;
   /// Per-trip travel budget of each charger (metres); > 0 splits every
   /// round's tours via tsp::split_tour_capacity, adding the
   /// return legs a range-limited vehicle actually drives. <= 0 matches
   /// the paper's unlimited-range model.
   double trip_capacity = 0.0;
-  /// Memoize tour costs per distinct dispatch set.
-  bool cache_tour_costs = true;
   /// Record every executed dispatch into SimResult::dispatch_log (for
-  /// replay validation and debugging).
+  /// replay validation and debugging). The log grows with the horizon.
   bool record_dispatches = false;
-  /// Hard cap on dispatches (guards against a runaway policy).
+  /// Hard cap on dispatches per run (guards against a runaway policy);
+  /// exceeding it throws DispatchCapExceeded.
   std::size_t max_dispatches = 10'000'000;
+};
+
+/// Thrown by Simulator::run when a policy executes more than
+/// SimOptions::max_dispatches dispatches in one run.
+class DispatchCapExceeded : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// A round's own point space, in which its tours, forest and candidate
+/// graph are labelled: the q depots, then `sensors` in order.
+std::vector<geom::Point> round_points(const wsn::Network& network,
+                                      const std::vector<std::size_t>& sensors);
+
+/// The first round a simulator costed, kept as Algorithm 2 built it.
+struct CostedRound {
+  std::vector<std::size_t> sensors;  ///< the dispatch set, in round order
+  /// Tours and forest in the labels of oracle().dispatch_view(sensors):
+  /// depot l is node l, sensors[j] is node q + j. Never split by
+  /// trip_capacity (the split only changes what the round is charged).
+  tsp::QRootedTours tours;
+  /// The k-NN graph the tours were built over, in the same labels. Null
+  /// when SimOptions::tour_options.candidates supplied the graph.
+  std::shared_ptr<const tsp::CandidateGraph> candidates;
 };
 
 class Simulator {
@@ -68,15 +94,17 @@ class Simulator {
 
   /// Runs one full monitoring period under `policy`. Restartable: each
   /// call re-initializes all state (the tour-cost cache persists across
-  /// runs; it depends only on the network geometry and options).
+  /// runs; it depends only on the network geometry and options). Throws
+  /// DispatchCapExceeded when the policy outruns max_dispatches.
   SimResult run(charging::Policy& policy);
 
-  /// Algorithm 2 tours of one dispatch set, in the labels of
-  /// oracle().dispatch_view(sensors), built exactly as the tour costing
-  /// builds them (same view, same candidate graph): their total equals
-  /// the cost charged to the set unless trip_capacity splits the round.
-  tsp::QRootedTours dispatch_tours(
-      const std::vector<std::size_t>& sensors) const;
+  /// The first dispatch set this simulator costed — the first executed
+  /// dispatch of its first run — with the tours it was charged for
+  /// (their total is the logged cost unless trip_capacity splits the
+  /// round). Empty until a dispatch is costed.
+  const std::optional<CostedRound>& first_round() const noexcept {
+    return first_round_;
+  }
 
   const SimOptions& options() const noexcept { return options_; }
 
@@ -110,22 +138,17 @@ class Simulator {
     std::vector<double> per_depot;
   };
 
-  TourCost dispatch_cost(const std::vector<std::size_t>& sensors);
-  /// Pure costing of one dispatch set; no cache access.
-  TourCost compute_cost(const std::vector<std::size_t>& sensors) const;
+  /// The memoized cost of one dispatch set; a miss builds the set's
+  /// tours (and keeps them if they are the first round).
+  const TourCost& dispatch_cost(const std::vector<std::size_t>& sensors);
   static std::uint64_t set_hash(const std::vector<std::size_t>& sensors);
-
-  /// Lazily built shared k-NN graph over the full combined node space;
-  /// index-compatible with any identity dispatch view, i.e. a dispatch of
-  /// all n sensors in order.
-  const tsp::CandidateGraph& shared_candidates() const;
 
   const wsn::Network& network_;
   const wsn::CycleProcess& cycle_model_;
   SimOptions options_;
   tsp::DistanceOracle oracle_;
-  mutable std::unique_ptr<tsp::CandidateGraph> cand_graph_;
   std::unordered_map<std::uint64_t, TourCost> cost_cache_;
+  std::optional<CostedRound> first_round_;
   obs::Registry metrics_;
   obs::Counter& cache_hits_c_;    ///< metrics_ "sim.tour_cache_hits"
   obs::Counter& cache_misses_c_;  ///< metrics_ "sim.tour_cache_misses"

@@ -13,41 +13,39 @@ namespace mwc::sim {
 
 SolveOutcome solve_network(const wsn::Network& network,
                            const wsn::CycleProcess& cycles,
-                           SimOptions options, charging::Policy& policy) {
+                           const SimOptions& options,
+                           charging::Policy& policy) {
   MWC_OBS_SCOPE("sim.solve_network");
-  options.record_dispatches = true;
   Simulator simulator(network, cycles, options);
 
   SolveOutcome outcome;
   outcome.result = simulator.run(policy);
-  if (outcome.result.dispatch_log.empty()) return outcome;
+  const auto& costed = simulator.first_round();
+  if (!costed) return outcome;
 
-  // Rebuild the first round's tours exactly as the simulator costed them
-  // (same view, same candidate graph), so the tours' total matches the
-  // logged round cost bit for bit (when no trip-capacity splitting
-  // rewrites the round).
-  const auto& first = outcome.result.dispatch_log.front();
+  // The fresh simulator's first costed round is its first executed one:
+  // serve it as built, so the tours' total is the charged round cost bit
+  // for bit (when no trip-capacity splitting rewrites the round).
+  const std::size_t q = network.q();
   RoundPlan& round = outcome.first_round;
-  round.sensors = first.sensors;
+  round.sensors = costed->sensors;
   const auto view = simulator.oracle().dispatch_view(round.sensors);
-  auto tours = simulator.dispatch_tours(round.sensors);
-  round.total_length = tours.total_length;
-  round.tours.reserve(tours.tours.size());
-  round.tour_lengths.reserve(tours.tours.size());
-  for (auto& tour : tours.tours) {
+  round.total_length = costed->tours.total_length;
+  round.tours.reserve(costed->tours.tours.size());
+  round.tour_lengths.reserve(costed->tours.tours.size());
+  for (const auto& tour : costed->tours.tours) {
     round.tour_lengths.push_back(tour.length_with(view));
     // Dispatch-view locals -> global combined labels (depot l stays l;
     // local q + j becomes q + sensors[j]).
-    std::vector<std::size_t> order = std::move(tour.order());
-    for (std::size_t& node : order) {
-      if (node >= network.q())
-        node = network.q() + round.sensors[node - network.q()];
-    }
+    std::vector<std::size_t> order = tour.order();
+    for (std::size_t& node : order)
+      if (node >= q) node = q + round.sensors[node - q];
     round.tours.emplace_back(std::move(order));
   }
-  // The forest stays round-local; the delta path repairs it in place of
-  // re-deriving the MSF.
-  round.forest = std::move(tours.forest);
+  // The forest and graph stay round-local; the delta path repairs them
+  // in place of re-deriving the MSF.
+  round.forest = costed->tours.forest;
+  round.candidates = costed->candidates;
   return outcome;
 }
 
@@ -78,7 +76,6 @@ bool same_edge_set(std::vector<graph::Edge> a, std::vector<graph::Edge> b) {
 
 ReplanOutcome replan_round(const wsn::Network& network, const RoundPlan& base,
                            std::span<const geom::Point> base_points,
-                           const tsp::CandidateGraph& base_candidates,
                            const RoundPatch& patch,
                            const tsp::QRootedOptions& options) {
   MWC_OBS_SCOPE("sim.replan_round");
@@ -90,18 +87,13 @@ ReplanOutcome replan_round(const wsn::Network& network, const RoundPlan& base,
   MWC_ASSERT_MSG(patch.base_slot.size() == m1, "base_slot size mismatch");
   MWC_ASSERT_MSG(base.forest.trees.size() == q, "base forest missing");
   MWC_ASSERT_MSG(base.tours.size() == q, "base tours missing");
+  MWC_ASSERT_MSG(base.candidates != nullptr, "base candidate graph missing");
 
   ReplanOutcome outcome;
 
   // The new round-local combined geometry: depots, then patch.sensors.
-  std::vector<geom::Point> new_points;
-  new_points.reserve(q + m1);
-  new_points.insert(new_points.end(), network.depots().begin(),
-                    network.depots().end());
-  for (const std::size_t id : patch.sensors) {
-    MWC_ASSERT_MSG(id < network.n(), "patch sensor id out of range");
-    new_points.push_back(network.sensor_points()[id]);
-  }
+  const std::vector<geom::Point> new_points =
+      round_points(network, patch.sensors);
   const auto view = tsp::DistanceView::direct(new_points);
 
   // Base-slot <-> new-slot maps. Survivors must appear in base round
@@ -135,8 +127,10 @@ ReplanOutcome replan_round(const wsn::Network& network, const RoundPlan& base,
     MWC_ASSERT_MSG(t < q + m1, "touched id out of range");
     if (t >= q) remap.fresh.push_back(t);
   }
-  outcome.candidates = tsp::CandidateGraph::repair(
-      base_candidates, new_points, remap, options.candidate_options);
+  outcome.round.candidates =
+      std::make_shared<const tsp::CandidateGraph>(tsp::CandidateGraph::repair(
+          *base.candidates, new_points, remap, options.candidate_options));
+  const tsp::CandidateGraph& candidates = *outcome.round.candidates;
 
   // 2. Dirty-tree selection: trees losing a sensor, trees owning a
   // touched node or one of its candidate neighbors, and flipped chargers.
@@ -163,7 +157,7 @@ ReplanOutcome replan_round(const wsn::Network& network, const RoundPlan& base,
   };
   for (const std::size_t t : patch.touched) {
     mark(t);
-    for (const std::size_t c : outcome.candidates.neighbors(t)) mark(c);
+    for (const std::size_t c : candidates.neighbors(t)) mark(c);
     if (t < q && !root_active(t)) tree_dirty[t] = 1;
   }
 
@@ -224,7 +218,7 @@ ReplanOutcome replan_round(const wsn::Network& network, const RoundPlan& base,
   // best-of tour starts below absorb the (rare, tiny) weight excess a
   // pruned re-span can introduce over a dense full rebuild.
   auto forest = tsp::repair_q_rooted_msf(view, q, base_local, plan,
-                                         &outcome.candidates, &outcome.msf);
+                                         &candidates, &outcome.msf);
 
   // 5. Tours. Unchanged trees keep their already-polished base tours;
   // dirty trees that the repair re-derived identically keep theirs too
@@ -240,7 +234,7 @@ ReplanOutcome replan_round(const wsn::Network& network, const RoundPlan& base,
   // caller-supplied graph covers the *base* space; substitute the repaired
   // one (same k regime, new space).
   tsp::ImproveOptions improve_opts = options.improve_options;
-  improve_opts.candidates = &outcome.candidates;
+  improve_opts.candidates = &candidates;
 
   // Two candidate hops: improving 2-opt/Or-opt moves triggered by a
   // patch routinely involve an edge one neighbourhood removed from the
@@ -249,9 +243,9 @@ ReplanOutcome replan_round(const wsn::Network& network, const RoundPlan& base,
   std::vector<std::size_t> seeds;
   for (const std::size_t t : patch.touched) {
     seeds.push_back(t);
-    for (const std::size_t c : outcome.candidates.neighbors(t)) {
+    for (const std::size_t c : candidates.neighbors(t)) {
       seeds.push_back(c);
-      for (const std::size_t c2 : outcome.candidates.neighbors(c))
+      for (const std::size_t c2 : candidates.neighbors(c))
         seeds.push_back(c2);
     }
   }

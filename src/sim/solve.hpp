@@ -3,12 +3,13 @@
 // The experiment runner (exp::run_trial / run_policies) generates its own
 // topologies; a serving layer receives them. solve_network() runs one
 // monitoring period of `policy` over a caller-supplied network + cycle
-// process and additionally reconstructs the q closed tours of the first
-// executed charging round (through the same candidate-pruned Algorithm-2
-// pipeline the simulator costs with), which is what an on-demand client
-// actually drives: the fleet's next rollout plus the horizon-total cost.
+// process and serves the q closed tours of the first executed charging
+// round as the simulator built and charged them (Simulator::first_round;
+// nothing is solved twice), which is what an on-demand client actually
+// drives: the fleet's next rollout plus the horizon-total cost.
 #pragma once
 
+#include <memory>
 #include <span>
 
 #include "charging/schedule.hpp"
@@ -35,19 +36,26 @@ struct RoundPlan {
   /// is node l, the j-th entry of `sensors` is node q + j) — kept so
   /// incremental re-planning can repair it instead of re-solving.
   tsp::QRootedForest forest;
+  /// The k-NN candidate graph the round was built over, in the same
+  /// round-local space. Shared, never copied, by the cached repair
+  /// states that chain off this round; null when the caller supplied
+  /// its own graph through SimOptions::tour_options.candidates.
+  std::shared_ptr<const tsp::CandidateGraph> candidates;
 };
 
 struct SolveOutcome {
-  SimResult result;      ///< full-horizon simulation (dispatch log kept)
+  SimResult result;      ///< full-horizon simulation
   RoundPlan first_round; ///< empty when the policy never dispatched
 };
 
-/// Runs one monitoring period of `policy` on the given instance.
-/// `options.record_dispatches` is forced on (the dispatch log is the
-/// product). Deterministic: equal inputs give bit-identical outcomes.
+/// Runs one monitoring period of `policy` on the given instance. The
+/// dispatch log is kept only if `options.record_dispatches` asks for it,
+/// so memory does not grow with the horizon. Deterministic: equal inputs
+/// give bit-identical outcomes.
 SolveOutcome solve_network(const wsn::Network& network,
                            const wsn::CycleProcess& cycles,
-                           SimOptions options, charging::Policy& policy);
+                           const SimOptions& options,
+                           charging::Policy& policy);
 
 /// A patch against a base RoundPlan, expressed in the *patched* network's
 /// id space. The svc delta layer folds wire patch ops into this form.
@@ -70,8 +78,8 @@ struct RoundPatch {
 };
 
 struct ReplanOutcome {
-  RoundPlan round;                 ///< tours global-labeled, forest local
-  tsp::CandidateGraph candidates;  ///< repaired graph, new local space
+  /// Tours global-labeled; forest and repaired candidate graph local.
+  RoundPlan round;
   tsp::MsfRepairStats msf;
   std::size_t reused_tours = 0;      ///< clean trees, tour copied verbatim
   std::size_t repolished_tours = 0;  ///< same tree re-derived, seeded polish
@@ -84,15 +92,14 @@ struct ReplanOutcome {
 /// trees that actually changed, and re-polishes surviving tours locally
 /// (ImproveOptions::seed_nodes) when candidate-mode polish is active.
 ///
-/// `network` is the *patched* network; `base`/`base_points` (q depots +
-/// base round sensors, round-local order) and `base_candidates` describe
-/// the cached base round. The result's tour weight is never worse than a
+/// `network` is the *patched* network; `base` (whose `candidates` must be
+/// set) and `base_points` (q depots + base round sensors, round-local
+/// order) describe the cached base round. The result's tour weight is never worse than a
 /// full re-solve of the patched round with the same `options` (changed
 /// trees re-run the identical construct+polish pipeline; unchanged trees
 /// keep their already-polished tours, optionally improved further).
 ReplanOutcome replan_round(const wsn::Network& network, const RoundPlan& base,
                            std::span<const geom::Point> base_points,
-                           const tsp::CandidateGraph& base_candidates,
                            const RoundPatch& patch,
                            const tsp::QRootedOptions& options);
 

@@ -139,12 +139,11 @@ std::shared_ptr<const BaseState> make_base_state(
     const Request& request, const ResolvedInstance& instance,
     const sim::SolveOutcome& outcome, std::shared_ptr<const Plan> plan) {
   const sim::RoundPlan& round = outcome.first_round;
-  if (round.tours.empty()) return nullptr;  // nothing to repair
+  if (round.tours.empty() || round.candidates == nullptr) return nullptr;
 
   auto state = std::make_shared<BaseState>();
   state->network = instance.network;
   const std::size_t n = instance.network.n();
-  const std::size_t q = instance.network.q();
   state->tau.reserve(n);
   for (std::size_t i = 0; i < n; ++i)
     state->tau.push_back(instance.cycles->cycle_at_slot(i, 0));
@@ -154,14 +153,7 @@ std::shared_ptr<const BaseState> make_base_state(
   state->improve = request.improve;
   state->sim = instance.sim;
   state->round = round;
-  state->round_points.reserve(q + round.sensors.size());
-  state->round_points.insert(state->round_points.end(),
-                             instance.network.depots().begin(),
-                             instance.network.depots().end());
-  for (const std::size_t id : round.sensors)
-    state->round_points.push_back(instance.network.sensor_points()[id]);
-  state->round_candidates = tsp::CandidateGraph::build(
-      state->round_points, instance.sim.tour_options.candidate_options);
+  state->round_points = sim::round_points(instance.network, round.sensors);
   state->plan = std::move(plan);
   return state;
 }
@@ -346,8 +338,7 @@ Response handle_delta(const DeltaRequest& request, PlanCache* cache,
 
     const double replan_start_ms = elapsed_ms();
     sim::ReplanOutcome outcome =
-        sim::replan_round(network, base->round, base->round_points,
-                          base->round_candidates, rpatch,
+        sim::replan_round(network, base->round, base->round_points, rpatch,
                           base->sim.tour_options);
     if (stages != nullptr)
       stages->solve_ms = elapsed_ms() - replan_start_ms;
@@ -375,13 +366,8 @@ Response handle_delta(const DeltaRequest& request, PlanCache* cache,
     state->improve = base->improve;
     state->sim = base->sim;
     state->round = std::move(outcome.round);
-    state->round_points.reserve(q + state->round.sensors.size());
-    state->round_points.insert(state->round_points.end(),
-                               state->network.depots().begin(),
-                               state->network.depots().end());
-    for (const std::size_t id : state->round.sensors)
-      state->round_points.push_back(state->network.sensor_points()[id]);
-    state->round_candidates = std::move(outcome.candidates);
+    state->round_points =
+        sim::round_points(state->network, state->round.sensors);
     state->plan = plan;
     cache->put(key, plan, std::move(state));
 

@@ -57,10 +57,10 @@ struct BaseState {
   double horizon = 0.0;
   double slot_length = 0.0;
   bool improve = false;
-  sim::SimOptions sim;               ///< options the round rebuild used
-  sim::RoundPlan round;              ///< first round, forest round-local
+  sim::SimOptions sim;               ///< options the round was built with
+  /// First round; forest and shared candidate graph round-local.
+  sim::RoundPlan round;
   std::vector<geom::Point> round_points;  ///< q depots + round sensors
-  tsp::CandidateGraph round_candidates;   ///< over round_points
   std::shared_ptr<const Plan> plan;  ///< horizon aggregates to inherit
 };
 
@@ -86,8 +86,11 @@ std::uint64_t derived_fingerprint(std::uint64_t base_fingerprint,
 Plan plan_from_round(const sim::RoundPlan& round, std::size_t q,
                      std::uint64_t key);
 
-/// Builds the cacheable solver state after a successful full solve.
-/// Returns null when the policy never dispatched (nothing to repair).
+/// Builds the cacheable solver state after a successful full solve. It
+/// shares the solve's own round and candidate graph; nothing is rebuilt.
+/// Returns null when the policy never dispatched (nothing to repair) or
+/// the round carries no graph of its own (a caller-supplied
+/// tour_options.candidates).
 std::shared_ptr<const BaseState> make_base_state(
     const Request& request, const ResolvedInstance& instance,
     const sim::SolveOutcome& outcome, std::shared_ptr<const Plan> plan);

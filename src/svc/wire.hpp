@@ -88,7 +88,8 @@ inline constexpr std::size_t kMaxPresetNodes = 1'000'000;
 /// cycle (`horizon / tau_min`). Every policy but PerSensorPeriodic
 /// dispatches at most once per shortest cycle, so this keeps a request
 /// far below the simulator's dispatch cap; PerSensorPeriodic, which
-/// dispatches per sensor, can still reach it on large networks.
+/// dispatches per sensor, can still reach it on large networks (the cap
+/// throws, and the request is answered `internal`).
 inline constexpr double kMaxHorizonCycles = 100'000.0;
 
 /// Maximum accepted length of a client-supplied trace id (longer ids

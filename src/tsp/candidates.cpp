@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "geom/bbox.hpp"
-#include "geom/grid_index.hpp"
 #include "geom/kdtree.hpp"
 #include "geom/simd.hpp"
 #include "obs/obs.hpp"
@@ -138,22 +136,11 @@ CandidateGraph CandidateGraph::build(std::span<const geom::Point> points,
   if (graph.k_ == 0) return graph;
   graph.flat_.assign(graph.n_ * graph.k_, 0);
 
-  const bool use_grid = options.backend == CandidateOptions::Backend::kGrid;
-  if (use_grid) {
-    const geom::GridIndex index(points,
-                                geom::BBox::of(points.begin(), points.end()),
-                                options.grid_target_per_cell);
-    for (std::size_t i = 0; i < graph.n_; ++i)
-      fill_row(i, graph.k_,
-               [&](std::size_t k) { return index.knearest(points[i], k); },
-               graph.flat_);
-  } else {
-    const geom::KdTree index(points);
-    for (std::size_t i = 0; i < graph.n_; ++i)
-      fill_row(i, graph.k_,
-               [&](std::size_t k) { return index.knearest(points[i], k); },
-               graph.flat_);
-  }
+  const geom::KdTree index(points);
+  for (std::size_t i = 0; i < graph.n_; ++i)
+    fill_row(i, graph.k_,
+             [&](std::size_t k) { return index.knearest(points[i], k); },
+             graph.flat_);
   return graph;
 }
 

@@ -31,17 +31,6 @@ struct CandidateOptions {
   /// exhaustive sweep at this default); k >= n-1 degenerates to the
   /// complete graph (see CandidateGraph::complete()).
   std::size_t k = 12;
-
-  /// Spatial index used for the k-NN queries. kAuto picks the kd-tree
-  /// (robust on clustered deployments); kGrid is the expected-O(1) choice
-  /// on uniform deployments (bench/micro_spatial quantifies the
-  /// trade-off). Both backends produce the identical neighbor lists —
-  /// sorted by distance, ties on the smaller index.
-  enum class Backend { kAuto, kKdTree, kGrid };
-  Backend backend = Backend::kAuto;
-
-  /// Grid resolution knob, forwarded to geom::GridIndex.
-  double grid_target_per_cell = 2.0;
 };
 
 /// Node-index remapping from a base graph's point space to a patched
@@ -61,8 +50,8 @@ struct CandidateRemap {
 };
 
 /// Immutable k-nearest-neighbor lists over a fixed point set. Build once
-/// per instance (O(n log n) via geom::KdTree, expected O(n·k) via
-/// geom::GridIndex), then neighbors(i) is a zero-cost span lookup. Row i
+/// per instance (O(n log n) via geom::KdTree), then neighbors(i) is a
+/// zero-cost span lookup. Row i
 /// holds min(k, n-1) neighbor indices sorted by ascending distance (ties
 /// by ascending index), never including i itself.
 class CandidateGraph {

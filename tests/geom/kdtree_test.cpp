@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "geom/grid_index.hpp"
 #include "util/rng.hpp"
 
 namespace mwc::geom {
@@ -51,23 +50,9 @@ TEST_P(KdTreeProperty, NearestMatchesBruteForce) {
     const Point q{rng.uniform(-50.0, 1050.0), rng.uniform(-50.0, 1050.0)};
     double best = std::numeric_limits<double>::infinity();
     for (const auto& p : pts) best = std::min(best, distance2(p, q));
-    EXPECT_DOUBLE_EQ(distance2(pts[tree.nearest(q)], q), best);
-  }
-}
-
-TEST_P(KdTreeProperty, AgreesWithGridIndex) {
-  const auto seed = GetParam();
-  const auto pts = random_points(250, seed);
-  const KdTree tree(pts);
-  const GridIndex grid(pts, BBox::square(1000.0));
-  mwc::Rng rng(seed ^ 0xC0FFEE);
-  for (int trial = 0; trial < 200; ++trial) {
-    const Point q{rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)};
-    const auto [ti, td] = tree.nearest_with_distance(q);
-    const auto [gi, gd] = grid.nearest_with_distance(q);
-    (void)ti;
-    (void)gi;
-    EXPECT_NEAR(td, gd, 1e-9);
+    const auto [i, d] = tree.nearest_with_distance(q);
+    EXPECT_EQ(distance2(pts[i], q), best);
+    EXPECT_EQ(d, std::sqrt(best));
   }
 }
 

@@ -1,15 +1,17 @@
-// PointsSoA round-trip equivalence with the AoS Point API, and the
-// cross-index k-NN agreement pinned at the new bench scales: KdTree and
-// GridIndex must return *identical* sorted (index, distance) lists —
-// including exact-distance ties — at n = 10k and n = 100k.
+// PointsSoA round-trip equivalence with the AoS Point API, and the k-NN
+// agreement pinned at the bench scales: KdTree must return the *identical*
+// sorted (index, distance) lists a brute-force scan does — including
+// exact-distance ties — at n = 10k and n = 100k.
 #include "geom/soa.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <utility>
 #include <vector>
 
 #include "geom/bbox.hpp"
-#include "geom/grid_index.hpp"
 #include "geom/kdtree.hpp"
 #include "geom/point.hpp"
 #include "util/rng.hpp"
@@ -64,14 +66,30 @@ TEST(PointsSoA, AssignReplacesContents) {
   EXPECT_TRUE(soa.empty());
 }
 
-/// Queries both indexes for the same k-NN lists and requires identity:
-/// same indices, same distances, same order. Both sort by (distance^2,
-/// index), so exact ties must resolve identically too.
+/// The k-NN contract by exhaustive scan: (index, distance) pairs sorted
+/// by (distance^2, index), so exact ties resolve on the smaller index.
+std::vector<std::pair<std::size_t, double>> brute_knearest(
+    std::span<const Point> pts, const Point& q, std::size_t k) {
+  std::vector<std::pair<double, std::size_t>> all;
+  all.reserve(pts.size());
+  for (std::size_t i = 0; i < pts.size(); ++i)
+    all.emplace_back(distance2(pts[i], q), i);
+  const std::size_t m = std::min(k, all.size());
+  std::partial_sort(all.begin(), all.begin() + static_cast<std::ptrdiff_t>(m),
+                    all.end());
+  std::vector<std::pair<std::size_t, double>> out;
+  out.reserve(m);
+  for (std::size_t i = 0; i < m; ++i)
+    out.emplace_back(all[i].second, std::sqrt(all[i].first));
+  return out;
+}
+
+/// Queries the kd-tree and the brute-force reference for the same k-NN
+/// lists and requires identity: same indices, same distances, same order.
 void expect_knn_agreement(std::span<const Point> pts, std::size_t num_queries,
                           std::size_t k, std::uint64_t seed) {
   const KdTree kd(pts);
   const BBox bounds = BBox::of(pts.begin(), pts.end());
-  const GridIndex grid(pts, bounds, /*target_per_cell=*/2.0);
   mwc::Rng rng(seed);
   for (std::size_t t = 0; t < num_queries; ++t) {
     // Mix on-point queries (exercise distance-0 and duplicate ties) with
@@ -83,7 +101,7 @@ void expect_knn_agreement(std::span<const Point> pts, std::size_t num_queries,
             : Point{rng.uniform(bounds.lo.x, bounds.hi.x),
                     rng.uniform(bounds.lo.y, bounds.hi.y)};
     const auto a = kd.knearest(q, k);
-    const auto b = grid.knearest(q, k);
+    const auto b = brute_knearest(pts, q, k);
     ASSERT_EQ(a.size(), b.size()) << "query " << t;
     for (std::size_t j = 0; j < a.size(); ++j) {
       EXPECT_EQ(a[j].first, b[j].first) << "query " << t << " rank " << j;
@@ -104,7 +122,7 @@ TEST(IndexAgreement, KnnIdentical100k) {
 
 TEST(IndexAgreement, KnnIdenticalUnderMassTies) {
   // Integer lattice with duplicated points: many exact distance ties per
-  // query; both indexes must break them on the smaller index.
+  // query; the kd-tree must break them on the smaller index.
   std::vector<Point> pts;
   for (int x = 0; x < 20; ++x)
     for (int y = 0; y < 20; ++y) {

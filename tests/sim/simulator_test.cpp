@@ -148,22 +148,6 @@ TEST(Simulator, ServiceCostMatchesQRootedTours) {
   EXPECT_NEAR(per_sum, result.service_cost, 1e-9);
 }
 
-TEST(Simulator, CostCacheDoesNotChangeTotals) {
-  const auto net = test_network(30, 3, 6);
-  const auto cycles = fixed_cycles(net, 1.0, 20.0, 6);
-  SimOptions cached;
-  cached.horizon = 100.0;
-  cached.cache_tour_costs = true;
-  SimOptions uncached = cached;
-  uncached.cache_tour_costs = false;
-
-  charging::MinTotalDistancePolicy p1, p2;
-  const auto r1 = Simulator(net, cycles, cached).run(p1);
-  const auto r2 = Simulator(net, cycles, uncached).run(p2);
-  EXPECT_NEAR(r1.service_cost, r2.service_cost, 1e-6);
-  EXPECT_EQ(r1.num_dispatches, r2.num_dispatches);
-}
-
 TEST(Simulator, SlotRedrawRescalesResidualLife) {
   // One sensor, cycle switches between 10 (even slots) and 5 (odd slots)
   // via sigma... instead use a custom CycleModel: sigma>0 makes this
@@ -355,13 +339,37 @@ TEST(Simulator, CostsRoundsWithPrunedMsf) {
     EXPECT_GT(hits.value(), hits_before);
   }
 
+  // Every logged round, cache hits included, is charged exactly what the
+  // dense reference builds for its set.
   for (const auto& record : result.dispatch_log) {
-    const auto pruned = simulator.dispatch_tours(record.sensors);
     const auto dense = tsp::q_rooted_tsp(
         simulator.oracle().dispatch_view(record.sensors), net.q());
-    EXPECT_EQ(pruned.total_length, record.cost);
-    EXPECT_EQ(pruned.total_length, dense.total_length);
+    EXPECT_EQ(record.cost, dense.total_length);
   }
+}
+
+TEST(Simulator, DispatchCapThrows) {
+  // A policy that never stops dispatching: it re-charges sensor 0 at
+  // the current instant forever, so only the cap ends the run.
+  class Runaway final : public charging::Policy {
+   public:
+    std::string name() const override { return "Runaway"; }
+    void reset(const charging::StateView&) override {}
+    std::optional<charging::Dispatch> next_dispatch(
+        const charging::StateView& view) override {
+      return charging::Dispatch{view.now(), {0}};
+    }
+    void on_dispatch_executed(const charging::StateView&,
+                              const charging::Dispatch&) override {}
+  };
+  const auto net = test_network(4, 1, 12);
+  const auto cycles = fixed_cycles(net, 10.0, 10.0, 12);
+  SimOptions options;
+  options.horizon = 30.0;
+  options.max_dispatches = 5;
+  Simulator simulator(net, cycles, options);
+  Runaway policy;
+  EXPECT_THROW(simulator.run(policy), DispatchCapExceeded);
 }
 
 TEST(SimulatorDeath, PastDispatchAborts) {

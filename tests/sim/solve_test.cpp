@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "charging/min_total_distance.hpp"
+#include "geom/point.hpp"
 #include "util/rng.hpp"
 #include "wsn/cycles.hpp"
 #include "wsn/deployment.hpp"
@@ -26,7 +27,8 @@ wsn::Network small_network(std::uint64_t seed = 3) {
 /// simulator costed.
 void expect_first_round_matches_log(const wsn::Network& network,
                                     const wsn::CycleProcess& cycles,
-                                    const SimOptions& options) {
+                                    SimOptions options) {
+  options.record_dispatches = true;
   charging::MinTotalDistancePolicy policy;
   const SolveOutcome outcome =
       solve_network(network, cycles, options, policy);
@@ -83,6 +85,72 @@ TEST(SolveNetwork, FirstRoundMatchesDispatchLog) {
     options.horizon = 20.0;
     options.tour_options.improve = true;
     expect_first_round_matches_log(network, cycles, options);
+  }
+}
+
+TEST(SolveNetwork, KeepsNoDispatchLogByDefault) {
+  // The service solves with default options: the horizon's dispatch log
+  // is not kept, yet the first round is served whole.
+  const wsn::Network network = small_network();
+  const wsn::CycleModel cycles(network, wsn::CycleModelConfig{}, 11);
+  SimOptions options;
+  options.horizon = 300.0;
+  charging::MinTotalDistancePolicy policy;
+  const SolveOutcome outcome =
+      solve_network(network, cycles, options, policy);
+  EXPECT_GT(outcome.result.num_dispatches, 1u);
+  EXPECT_TRUE(outcome.result.dispatch_log.empty());
+  const RoundPlan& round = outcome.first_round;
+  EXPECT_FALSE(round.sensors.empty());
+  EXPECT_EQ(round.tours.size(), network.q());
+  EXPECT_EQ(round.tour_lengths.size(), network.q());
+  EXPECT_EQ(round.forest.trees.size(), network.q());
+  ASSERT_NE(round.candidates, nullptr);
+  EXPECT_EQ(round.candidates->size(), network.q() + round.sensors.size());
+  EXPECT_GT(round.total_length, 0.0);
+}
+
+TEST(SolveNetwork, TripCapacityServesUnsplitTours) {
+  // Splitting changes what a round is charged, not the Algorithm-2
+  // tours the fleet is handed: the served round equals the uncapped one.
+  // Constant cycles make every round the full set.
+  const wsn::Network network = small_network(5);
+  wsn::CycleModelConfig fixed;
+  fixed.tau_min = fixed.tau_max = 5.0;
+  const wsn::CycleModel cycles(network, fixed, 5);
+  SimOptions uncapped;
+  uncapped.horizon = 20.0;
+  uncapped.record_dispatches = true;
+  charging::MinTotalDistancePolicy p1, p2;
+  const SolveOutcome a = solve_network(network, cycles, uncapped, p1);
+  ASSERT_EQ(a.first_round.tours.size(), network.q());
+
+  // The longest depot round trip: the least capacity every sensor fits
+  // in, short of what the tours themselves need.
+  double round_trip = 0.0;
+  for (std::size_t t = 0; t < network.q(); ++t)
+    for (const std::size_t node : a.first_round.tours[t].order())
+      if (node >= network.q())
+        round_trip = std::max(
+            round_trip,
+            2.0 * geom::distance(network.depots()[t],
+                                 network.sensor_points()[node - network.q()]));
+  SimOptions capped = uncapped;
+  capped.trip_capacity = round_trip + 1.0;
+  const SolveOutcome b = solve_network(network, cycles, capped, p2);
+
+  ASSERT_FALSE(b.result.dispatch_log.empty());
+  EXPECT_GT(b.result.dispatch_log.front().cost, b.first_round.total_length);
+  EXPECT_EQ(b.first_round.sensors, a.first_round.sensors);
+  EXPECT_EQ(b.first_round.total_length, a.first_round.total_length);
+  EXPECT_EQ(b.first_round.tour_lengths, a.first_round.tour_lengths);
+  ASSERT_EQ(b.first_round.tours.size(), a.first_round.tours.size());
+  for (std::size_t t = 0; t < a.first_round.tours.size(); ++t) {
+    const auto& order = b.first_round.tours[t].order();
+    EXPECT_EQ(order, a.first_round.tours[t].order());
+    // One closed tour per depot: the depot appears once, at the start.
+    EXPECT_EQ(order.front(), t);
+    EXPECT_EQ(std::count(order.begin(), order.end(), t), 1);
   }
 }
 

@@ -12,7 +12,11 @@
 #include <cstdint>
 #include <vector>
 
+#include "exp/runner.hpp"
 #include "geom/point.hpp"
+#include "obs/obs.hpp"
+#include "obs/registry.hpp"
+#include "sim/solve.hpp"
 #include "svc/engine.hpp"
 #include "svc/plan_cache.hpp"
 #include "svc/wire.hpp"
@@ -179,6 +183,56 @@ std::uint64_t solve_base(PlanCache& cache, std::size_t n, std::size_t q,
   const Response response = handle_request(request, &cache);
   EXPECT_TRUE(response.ok) << response.message;
   return response.plan->fingerprint;
+}
+
+/// Solves `request` as the engine does, then builds its base state, and
+/// checks that together they build one candidate graph and one MSF per
+/// distinct dispatch set: the base state shares the round the simulator
+/// built instead of building any of it again.
+void expect_one_build_per_set(const Request& request) {
+  obs::Counter& rebuilds =
+      obs::Registry::global().counter("tsp.cand.rebuilds");
+  obs::Counter& msfs = obs::Registry::global().counter("tsp.msf_builds");
+  const auto rebuilds_before = rebuilds.value();
+  const auto msfs_before = msfs.value();
+
+  const ResolvedInstance instance = resolve(request);
+  const auto policy = exp::make_policy(request.policy, instance.config);
+  const sim::SolveOutcome outcome = sim::solve_network(
+      instance.network, *instance.cycles, instance.sim, *policy);
+  const auto state = make_base_state(request, instance, outcome, nullptr);
+  ASSERT_NE(state, nullptr);
+  ASSERT_NE(outcome.first_round.candidates, nullptr);
+  EXPECT_EQ(state->round.candidates, outcome.first_round.candidates);
+  EXPECT_EQ(state->round.candidates->size(),
+            state->round_points.size());
+
+  const std::size_t misses = outcome.result.tour_cache_misses;
+  EXPECT_GE(misses, 1u);
+  if (MWC_OBS_ENABLED != 0) {
+    EXPECT_EQ(rebuilds.value() - rebuilds_before, misses);
+    EXPECT_EQ(msfs.value() - msfs_before, misses);
+  }
+}
+
+TEST(MakeBaseState, OneGraphAndOneMsfPerDistinctSet) {
+  {
+    SCOPED_TRACE("constant tau, improve on: one set");
+    expect_one_build_per_set(RequestBuilder("constant")
+                                 .preset(400, 5, 1000.0, 3)
+                                 .cycle_values(std::vector<double>(400, 5.0))
+                                 .horizon(200.0)
+                                 .improve(true)
+                                 .build());
+  }
+  {
+    SCOPED_TRACE("spread cycles: several sets");
+    expect_one_build_per_set(RequestBuilder("spread")
+                                 .preset(400, 5, 1000.0, 3)
+                                 .cycle_model(wsn::CycleModelConfig{}, 7)
+                                 .horizon(200.0)
+                                 .build());
+  }
 }
 
 TEST(HandleDelta, RepairsAndCachesDerivedPlans) {

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "charging/min_total_distance.hpp"
@@ -77,42 +78,35 @@ TEST(CandidateGraph, ClampsKAndReportsComplete) {
 }
 
 TEST(CandidateGraph, RowsAreNearestNeighborsSortedByDistance) {
-  const auto pts = random_points(80, 5);
-  CandidateOptions options;
-  options.k = 7;
-  const auto graph = CandidateGraph::build(pts, options);
-  for (std::size_t i = 0; i < graph.size(); ++i) {
-    const auto row = graph.neighbors(i);
-    ASSERT_EQ(row.size(), 7u);
-    // Brute-force reference row.
-    std::vector<std::pair<double, std::size_t>> all;
-    for (std::size_t j = 0; j < pts.size(); ++j) {
-      if (j == i) continue;
-      all.emplace_back(geom::distance2(pts[i], pts[j]), j);
+  // Random points (k = 7), then random points plus a duplicated integer
+  // lattice (default k = 12): many exact distance ties and zero-distance
+  // twins, which must break on the smaller index.
+  auto tied = random_points(120, 9, 10.0);
+  for (int x = 0; x < 6; ++x)
+    for (int y = 0; y < 6; ++y)
+      for (int copy = 0; copy < 2; ++copy)
+        tied.push_back({static_cast<double>(x), static_cast<double>(y)});
+  CandidateOptions sparse;
+  sparse.k = 7;
+  const std::pair<std::vector<geom::Point>, CandidateOptions> cases[] = {
+      {random_points(80, 5), sparse}, {tied, CandidateOptions{}}};
+  for (const auto& [pts, options] : cases) {
+    const auto graph = CandidateGraph::build(pts, options);
+    for (std::size_t i = 0; i < graph.size(); ++i) {
+      const auto row = graph.neighbors(i);
+      ASSERT_EQ(row.size(), options.k);
+      // Brute-force reference row.
+      std::vector<std::pair<double, std::size_t>> all;
+      for (std::size_t j = 0; j < pts.size(); ++j) {
+        if (j == i) continue;
+        all.emplace_back(geom::distance2(pts[i], pts[j]), j);
+      }
+      std::sort(all.begin(), all.end());
+      for (std::size_t r = 0; r < row.size(); ++r) {
+        EXPECT_NE(row[r], i) << "self in candidate row";
+        EXPECT_EQ(row[r], all[r].second) << "node " << i << " rank " << r;
+      }
     }
-    std::sort(all.begin(), all.end());
-    for (std::size_t r = 0; r < row.size(); ++r) {
-      EXPECT_NE(row[r], i) << "self in candidate row";
-      EXPECT_EQ(row[r], all[r].second) << "node " << i << " rank " << r;
-    }
-  }
-}
-
-TEST(CandidateGraph, BackendsProduceIdenticalRows) {
-  const auto pts = random_points(120, 9);
-  CandidateOptions kd;
-  kd.backend = CandidateOptions::Backend::kKdTree;
-  CandidateOptions grid;
-  grid.backend = CandidateOptions::Backend::kGrid;
-  const auto a = CandidateGraph::build(pts, kd);
-  const auto b = CandidateGraph::build(pts, grid);
-  ASSERT_EQ(a.size(), b.size());
-  ASSERT_EQ(a.k(), b.k());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const auto ra = a.neighbors(i);
-    const auto rb = b.neighbors(i);
-    for (std::size_t r = 0; r < ra.size(); ++r)
-      EXPECT_EQ(ra[r], rb[r]) << "node " << i << " rank " << r;
   }
 }
 

@@ -1,6 +1,6 @@
 // Tests for the incremental layers behind the v2 delta path:
 // CandidateGraph::repair must equal a from-scratch build on the patched
-// points (both spatial backends), repair_q_rooted_msf must degenerate to
+// points (and a brute-force k-NN scan), repair_q_rooted_msf must degenerate to
 // the exact forest when every tree is dirty and stay a valid spanning
 // forest under local patches, and seed_nodes must localize candidate-mode
 // re-polish while leaving the exhaustive sweep untouched.
@@ -9,8 +9,10 @@
 #include <algorithm>
 #include <cstddef>
 #include <numeric>
+#include <utility>
 #include <vector>
 
+#include "geom/point.hpp"
 #include "tsp/candidates.hpp"
 #include "tsp/construct.hpp"
 #include "tsp/improve.hpp"
@@ -86,29 +88,34 @@ PatchedPoints make_patch(const std::vector<geom::Point>& base,
 }
 
 TEST(CandidateRepair, MatchesFreshBuildOnRandomPatches) {
-  for (const auto backend : {CandidateOptions::Backend::kKdTree,
-                             CandidateOptions::Backend::kGrid}) {
-    for (const std::size_t k : {4u, 12u}) {
-      CandidateOptions options;
-      options.k = k;
-      options.backend = backend;
-      for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-        const std::vector<geom::Point> base_points = random_points(120, seed);
-        const CandidateGraph base = CandidateGraph::build(base_points,
-                                                          options);
-        const PatchedPoints patch = make_patch(base_points, seed + 100);
-        const CandidateGraph repaired =
-            CandidateGraph::repair(base, patch.points, patch.remap, options);
-        const CandidateGraph fresh =
-            CandidateGraph::build(patch.points, options);
-        ASSERT_EQ(repaired.size(), fresh.size());
-        ASSERT_EQ(repaired.k(), fresh.k());
-        for (std::size_t i = 0; i < fresh.size(); ++i) {
-          const auto a = repaired.neighbors(i);
-          const auto b = fresh.neighbors(i);
-          ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
-              << "row " << i << " k=" << k << " seed=" << seed;
-        }
+  for (const std::size_t k : {4u, 12u}) {
+    CandidateOptions options;
+    options.k = k;
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      const std::vector<geom::Point> base_points = random_points(120, seed);
+      const CandidateGraph base = CandidateGraph::build(base_points, options);
+      const PatchedPoints patch = make_patch(base_points, seed + 100);
+      const CandidateGraph repaired =
+          CandidateGraph::repair(base, patch.points, patch.remap, options);
+      const CandidateGraph fresh = CandidateGraph::build(patch.points, options);
+      ASSERT_EQ(repaired.size(), fresh.size());
+      ASSERT_EQ(repaired.k(), fresh.k());
+      for (std::size_t i = 0; i < fresh.size(); ++i) {
+        const auto a = repaired.neighbors(i);
+        const auto b = fresh.neighbors(i);
+        ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+            << "row " << i << " k=" << k << " seed=" << seed;
+        // And both equal the brute-force (distance^2, index) row.
+        std::vector<std::pair<double, std::size_t>> all;
+        for (std::size_t j = 0; j < patch.points.size(); ++j)
+          if (j != i)
+            all.emplace_back(
+                geom::distance2(patch.points[i], patch.points[j]), j);
+        std::sort(all.begin(), all.end());
+        for (std::size_t r = 0; r < b.size(); ++r)
+          ASSERT_EQ(b[r], all[r].second)
+              << "row " << i << " rank " << r << " k=" << k
+              << " seed=" << seed;
       }
     }
   }
