@@ -56,20 +56,27 @@ std::vector<std::size_t> parse_list(const std::string& spec) {
 
 int main(int argc, char** argv) {
   mwc::CliArgs args(argc, argv);
+  args.allow_only({"grid", "patches", "q", "horizon", "cold", "reps", "seed",
+                   "improve", "json"});
 
   const std::vector<std::size_t> grid =
       parse_list(args.get_or("grid", "200,800,2000"));
   const std::vector<std::size_t> patches =
       parse_list(args.get_or("patches", "1,4,16"));
-  const std::size_t q = static_cast<std::size_t>(args.get_int_or("q", 5));
+  const std::size_t q =
+      static_cast<std::size_t>(args.get_int_or("q", 5, 1, 1 << 20));
   const double horizon = args.get_double_or("horizon", 200.0);
   const std::size_t cold_reps =
-      static_cast<std::size_t>(args.get_int_or("cold", 5));
+      static_cast<std::size_t>(args.get_int_or("cold", 5, 1, 1 << 20));
   const std::size_t delta_reps =
-      static_cast<std::size_t>(args.get_int_or("reps", 24));
+      static_cast<std::size_t>(args.get_int_or("reps", 24, 1, 1 << 20));
   const std::uint64_t seed =
-      static_cast<std::uint64_t>(args.get_int_or("seed", 1));
+      static_cast<std::uint64_t>(args.get_int_or("seed", 1, 0));
   const bool improve = args.get_bool_or("improve", true);
+  if (!args.error().empty()) {
+    std::fprintf(stderr, "micro_delta: %s\n", args.error().c_str());
+    return 2;
+  }
   const double field = 1000.0;
 
   bool failed = false;

@@ -98,25 +98,28 @@ double quantile_of(const mwc::obs::Registry& registry,
 
 int main(int argc, char** argv) {
   mwc::CliArgs args(argc, argv);
+  args.allow_only({"n", "q", "policy", "horizon", "cold", "warm", "per-depth",
+                   "depths", "seed", "threads", "json"});
 
   const std::uint64_t seed =
-      static_cast<std::uint64_t>(args.get_int_or("seed", 1));
+      static_cast<std::uint64_t>(args.get_int_or("seed", 1, 0));
   const Request base =
       mwc::svc::RequestBuilder("template")
           .policy(args.get_or("policy", "MinTotalDistance"))
-          .preset(static_cast<std::size_t>(args.get_int_or("n", 800)),
-                  static_cast<std::size_t>(args.get_int_or("q", 5)),
+          .preset(static_cast<std::size_t>(
+                      args.get_int_or("n", 800, 1, 1 << 20)),
+                  static_cast<std::size_t>(args.get_int_or("q", 5, 1, 1 << 20)),
                   /*field_side=*/1000.0, seed)
           .cycle_model({}, seed)
           .horizon(args.get_double_or("horizon", 1000.0))
           .build();
 
   const std::size_t cold_count =
-      static_cast<std::size_t>(args.get_int_or("cold", 12));
+      static_cast<std::size_t>(args.get_int_or("cold", 12, 1, 1 << 20));
   const std::size_t warm_count =
-      static_cast<std::size_t>(args.get_int_or("warm", 200));
+      static_cast<std::size_t>(args.get_int_or("warm", 200, 1, 1 << 20));
   const std::size_t per_depth =
-      static_cast<std::size_t>(args.get_int_or("per-depth", 256));
+      static_cast<std::size_t>(args.get_int_or("per-depth", 256, 1, 1 << 20));
   std::vector<std::size_t> depths;
   {
     const std::string spec = args.get_or("depths", "1,8,64");
@@ -132,7 +135,12 @@ int main(int argc, char** argv) {
 
   mwc::svc::ServerOptions options;
   options.queue_capacity = 1024;  // sized so the sweep never rejects
-  options.threads = static_cast<std::size_t>(args.get_int_or("threads", 0));
+  options.threads =
+      static_cast<std::size_t>(args.get_int_or("threads", 0, 0, 1024));
+  if (!args.error().empty()) {
+    std::fprintf(stderr, "micro_service: %s\n", args.error().c_str());
+    return 2;
+  }
   options.cache_capacity = 2048;
   Server server(options);
 

@@ -104,19 +104,26 @@ std::string observe_frame(std::uint64_t sid, double t,
 
 int main(int argc, char** argv) {
   mwc::CliArgs args(argc, argv);
+  args.allow_only(
+      {"grid", "q", "horizon", "cold", "reps", "surge", "seed", "json"});
 
   const std::vector<std::size_t> grid =
       parse_list(args.get_or("grid", "200,800,2000"));
-  const std::size_t q = static_cast<std::size_t>(args.get_int_or("q", 5));
+  const std::size_t q =
+      static_cast<std::size_t>(args.get_int_or("q", 5, 1, 1 << 20));
   const double horizon = args.get_double_or("horizon", 200.0);
   const std::size_t cold_reps =
-      static_cast<std::size_t>(args.get_int_or("cold", 5));
+      static_cast<std::size_t>(args.get_int_or("cold", 5, 1, 1 << 20));
   const std::size_t reps =
-      static_cast<std::size_t>(args.get_int_or("reps", 16));
+      static_cast<std::size_t>(args.get_int_or("reps", 16, 1, 1 << 20));
   const std::size_t surge_sensors =
-      static_cast<std::size_t>(args.get_int_or("surge", 8));
+      static_cast<std::size_t>(args.get_int_or("surge", 8, 1, 1 << 20));
   const std::uint64_t seed =
-      static_cast<std::uint64_t>(args.get_int_or("seed", 1));
+      static_cast<std::uint64_t>(args.get_int_or("seed", 1, 0));
+  if (!args.error().empty()) {
+    std::fprintf(stderr, "micro_stream: %s\n", args.error().c_str());
+    return 2;
+  }
   const double field = 1000.0;
 
   bool failed = false;

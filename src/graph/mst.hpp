@@ -1,15 +1,14 @@
 // Minimum spanning trees on dense metric graphs.
 //
-// Prim's O(n^2) variant is the workhorse: the q-rooted algorithms operate
-// on complete Euclidean graphs where the dense scan is optimal. Kruskal is
-// provided for sparse edge lists and as an independent cross-check in the
-// property tests.
+// Prim's O(n^2) variant is the dense reference: the q-rooted MSF runs it
+// over the contracted complete graph when no candidate graph prunes it
+// (tsp/qrooted.cpp). Kruskal is provided for sparse edge lists and as an
+// independent cross-check in the property tests.
 #pragma once
 
 #include <cstddef>
 #include <functional>
 #include <limits>
-#include <span>
 #include <vector>
 
 #include "geom/distance.hpp"
@@ -92,11 +91,5 @@ MstResult prim_mst(const mwc::geom::DistanceMatrix& dist,
 /// Kruskal's algorithm on an explicit edge list over n nodes. Returns the
 /// minimum spanning forest (spanning tree if connected).
 MstResult kruskal_mst(std::size_t n, std::vector<Edge> edges);
-
-/// Parent array (parent[root] == root) of the MST re-rooted at `root`,
-/// computed from its edge list. Helper for decomposing contracted MSTs.
-std::vector<std::size_t> mst_parents(std::size_t n,
-                                     std::span<const Edge> edges,
-                                     std::size_t root);
 
 }  // namespace mwc::graph

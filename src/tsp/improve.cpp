@@ -22,7 +22,7 @@ double dist(const DistanceView& d, std::size_t a, std::size_t b) {
 struct ImproveCounts {
   std::uint64_t passes = 0;
   std::uint64_t probes = 0;
-  std::uint64_t cand_evals = 0;  ///< candidate-list edges examined
+  std::uint64_t cand_evals = 0;  ///< candidate edges probed
   std::uint64_t moves = 0;       ///< accepted improving moves
 
   void flush() const {
@@ -234,7 +234,6 @@ double two_opt_candidates(Tour& tour, const DistanceView& points,
         cs.clear();
         es.clear();
         for (const std::size_t c : cand.neighbors(a)) {
-          ++counts.cand_evals;
           if (pos[c] == kNpos || c == b) continue;
           const std::size_t pc = pos[c];
           const std::size_t e = dir == 0 ? order[(pc + 1) % n]
@@ -251,6 +250,7 @@ double two_opt_candidates(Tour& tour, const DistanceView& points,
         points.distances_pairs(cs, es, d_ce.data());
         points.distances_to(b, es, d_be.data());
         counts.probes += 3 * cs.size();
+        counts.cand_evals += cs.size();
         for (std::size_t t = 0; t < cs.size(); ++t) {
           const double gain = d_ab + d_ce[t] - d_ac[t] - d_be[t];
           if (gain <= best_gain) continue;
@@ -361,14 +361,12 @@ double or_opt_candidates(Tour& tour, const DistanceView& points,
         // Each neighbor c of an endpoint offers two slots: the segment's
         // matching end lands after c (c = u), or before it (u = pred(c)).
         for (const std::size_t c : cand.neighbors(s0)) {
-          counts.cand_evals += 2;
           if (pos[c] == kNpos) continue;
           consider(c, /*reversed=*/false);          // u—s0…s1—v, u = c
           if (!in_segment(c))                       // u—s1…s0—v, v = c
             consider(order[(pos[c] + n - 1) % n], /*reversed=*/true);
         }
         for (const std::size_t c : cand.neighbors(s1)) {
-          counts.cand_evals += 2;
           if (pos[c] == kNpos) continue;
           consider(c, /*reversed=*/true);           // u—s1…s0—v, u = c
           if (!in_segment(c))                       // u—s0…s1—v, v = c
@@ -386,6 +384,7 @@ double or_opt_candidates(Tour& tour, const DistanceView& points,
         points.distances_pairs(tails, vs, d_tv.data());
         points.distances_pairs(us, vs, d_uv.data());
         counts.probes += 3 * us.size();
+        counts.cand_evals += us.size();
         double best_delta = -opts.min_gain;
         std::size_t best_u = kNpos;
         bool best_rev = false;

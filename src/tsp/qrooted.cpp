@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <queue>
 #include <unordered_set>
 #include <utility>
@@ -17,103 +18,20 @@ namespace mwc::tsp {
 
 namespace {
 
+// Every q-rooted MSF in this file runs on one contracted graph: aux node 0
+// is the virtual root r (the active depots merged, plus a repair's clean
+// trees), aux node k+1 is sensor ids[k]. w_r(0, k+1) = root_dist[k] is the
+// sensor's cheapest edge into r and attach[k] the node realizing it.
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
 /// True when `candidates` can actually prune for this view: covers the
 /// combined node space and is not degenerate-complete (the complete graph
 /// dispatches dense so the k >= n limit stays bit-identical).
 bool prunable(const CandidateGraph* candidates, std::size_t view_size) {
   return candidates != nullptr && candidates->size() == view_size &&
          !candidates->complete();
-}
-
-/// Sparse Prim over the contracted aux graph (node 0 = virtual root,
-/// 1..m = sensors) restricted to candidate sensor-sensor edges plus the
-/// root's star. The star edge to every sensor (its nearest-depot
-/// distance) keeps the pruned graph connected, so a spanning tree always
-/// exists; its weight can only exceed the dense MST's when some true MST
-/// edge joins two sensors that are not mutual-or-one-way candidates (see
-/// sensors_connected for the case msf_impl guards against).
-graph::MstResult prim_msf_pruned(const DistanceView& distances, std::size_t q,
-                                 const CandidateGraph& cand,
-                                 std::span<const double> root_dist,
-                                 std::uint64_t& probes,
-                                 std::uint64_t& cand_evals) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  const std::size_t m = distances.size() - q;
-
-  // Symmetrized candidate adjacency in local sensor space: kNN is not a
-  // symmetric relation, but Prim must be able to relax an edge from
-  // whichever endpoint enters the tree first.
-  std::vector<std::vector<std::size_t>> adj(m);
-  for (std::size_t k = 0; k < m; ++k) {
-    for (const std::size_t c : cand.neighbors(q + k)) {
-      if (c < q) continue;  // depot edges enter via the root star
-      adj[k].push_back(c - q);
-      adj[c - q].push_back(k);
-    }
-  }
-  for (auto& a : adj) {
-    std::sort(a.begin(), a.end());
-    a.erase(std::unique(a.begin(), a.end()), a.end());
-  }
-
-  graph::MstResult result;
-  std::vector<double> best(m + 1, kInf);
-  std::vector<std::size_t> best_from(m + 1, kNone);
-  std::vector<char> in_tree(m + 1, 0);
-
-  // Lazy binary heap of (key, aux node); stale entries are skipped on
-  // extraction. Pair ordering breaks key ties on the smaller node index.
-  using Item = std::pair<double, std::size_t>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<Item>> heap;
-
-  in_tree[0] = 1;
-  for (std::size_t k = 0; k < m; ++k) {
-    best[k + 1] = root_dist[k];
-    best_from[k + 1] = 0;
-    heap.emplace(root_dist[k], k + 1);
-  }
-
-  result.edges.reserve(m);
-  // Key updates run in two passes per extraction: gather the still-open
-  // frontier neighbors, one batched row probe, then the original relax
-  // loop over the results (same order, same comparisons — bit-identical).
-  std::vector<std::size_t> batch_js;
-  std::vector<std::size_t> batch_v;
-  std::vector<double> batch_w;
-  for (std::size_t added = 0; added < m;) {
-    MWC_ASSERT_MSG(!heap.empty(), "root star keeps the aux graph connected");
-    const auto [key, u] = heap.top();
-    heap.pop();
-    if (in_tree[u] || key > best[u]) continue;  // stale entry
-    in_tree[u] = 1;
-    result.edges.push_back(graph::Edge{best_from[u], u, best[u]});
-    result.total_weight += best[u];
-    ++added;
-    batch_js.clear();
-    batch_v.clear();
-    for (const std::size_t j : adj[u - 1]) {
-      const std::size_t v = j + 1;
-      if (in_tree[v]) continue;
-      batch_js.push_back(q + j);
-      batch_v.push_back(v);
-    }
-    if (batch_js.empty()) continue;
-    cand_evals += batch_js.size();
-    probes += batch_js.size();
-    batch_w.resize(batch_js.size());
-    distances.distances_to(q + u - 1, batch_js, batch_w.data());
-    for (std::size_t t = 0; t < batch_v.size(); ++t) {
-      const std::size_t v = batch_v[t];
-      const double w = batch_w[t];
-      if (w < best[v]) {
-        best[v] = w;
-        best_from[v] = u;
-        heap.emplace(w, v);
-      }
-    }
-  }
-  return result;
 }
 
 /// True when the candidate edges among sensors (depot entries skipped)
@@ -131,136 +49,227 @@ bool sensors_connected(const CandidateGraph& cand, std::size_t q) {
   return dsu.num_sets() == 1;
 }
 
-/// Shared core of the dense and pruned MSF: nearest-depot scan, aux-graph
-/// MST (dense or candidate-pruned), un-contract.
-QRootedForest msf_impl(const DistanceView& distances, std::size_t q,
-                       const CandidateGraph* candidates) {
-  MWC_OBS_SCOPE("tsp.q_rooted_msf");
-  MWC_ASSERT_MSG(q >= 1, "q-rooted MSF needs at least one depot");
-  MWC_ASSERT(q <= distances.size());
-  const std::size_t m = distances.size() - q;
-
-  QRootedForest result;
-  result.trees.reserve(q);
-
-  if (m == 0) {
-    for (std::size_t l = 0; l < q; ++l)
-      result.trees.emplace_back(l, std::span<const graph::Edge>{});
-    return result;
-  }
-
-  MWC_OBS_COUNT("tsp.msf_builds");
-  // Probes accumulate in a local and flush once at the end, so the
-  // Prim/root-scan inner loops pay no atomic traffic.
-  std::uint64_t probes = 0;
-  std::uint64_t cand_evals = 0;
-
-  // Auxiliary contracted graph G_r: node 0 is the virtual root r (all q
-  // depots merged), nodes 1..m are the sensors. w_r(0, k) is the distance
-  // from sensor k to its nearest depot; remember which depot realizes it.
-  std::vector<double> root_dist(m, std::numeric_limits<double>::infinity());
-  std::vector<std::size_t> nearest_depot(m, 0);
-  {
-    // Depot-major, cache-blocked scan: one batched row probe per
-    // (depot, sensor-block) instead of m per-sensor depot loops.
-    // Distances are symmetric bit-for-bit, so probing (l, q+k) equals the
-    // seed's (q+k, l), and merging depots in ascending order with strict
-    // < keeps the seed's first-minimal-depot tie-breaking.
-    constexpr std::size_t kBlock = 4096;
-    std::vector<std::size_t> sensor_ids(m);
-    for (std::size_t k = 0; k < m; ++k) sensor_ids[k] = q + k;
-    std::vector<double> dl(std::min(m, kBlock));
-    for (std::size_t k0 = 0; k0 < m; k0 += kBlock) {
-      const std::size_t len = std::min(kBlock, m - k0);
-      const std::span<const std::size_t> block(sensor_ids.data() + k0, len);
-      for (std::size_t l = 0; l < q; ++l) {
-        distances.distances_to(l, block, dl.data());
-        for (std::size_t k = 0; k < len; ++k) {
-          if (dl[k] < root_dist[k0 + k]) {
-            root_dist[k0 + k] = dl[k];
-            nearest_depot[k0 + k] = l;
-          }
+/// Root scan, root-major and cache-blocked: `row(root, k0, len, out)`
+/// writes the distances from `root` to sensors k0..k0+len-1, one batched
+/// call per (root, sensor block). Roots merge in the given order with
+/// strict <, so the first minimal root wins each sensor.
+template <typename Row>
+void scan_roots(std::span<const std::size_t> roots, Row&& row,
+                std::vector<double>& root_dist,
+                std::vector<std::size_t>& attach) {
+  constexpr std::size_t kBlock = 4096;
+  const std::size_t m = root_dist.size();
+  std::vector<double> dl(std::min(m, kBlock));
+  for (std::size_t k0 = 0; k0 < m; k0 += kBlock) {
+    const std::size_t len = std::min(kBlock, m - k0);
+    for (const std::size_t root : roots) {
+      row(root, k0, len, dl.data());
+      for (std::size_t k = 0; k < len; ++k) {
+        if (dl[k] < root_dist[k0 + k]) {
+          root_dist[k0 + k] = dl[k];
+          attach[k0 + k] = root;
         }
       }
     }
   }
-  probes += static_cast<std::uint64_t>(m) * q;
+}
 
+/// Symmetrized candidate adjacency among `ids` in aux-local space (row k
+/// for ids[k]): kNN is not a symmetric relation, but Prim must be able to
+/// relax an edge from whichever endpoint enters the tree first.
+/// Candidates outside `ids` (depots, clean sensors) reach the tree
+/// through the root star instead.
+std::vector<std::vector<std::size_t>> candidate_adjacency(
+    const CandidateGraph& cand, std::span<const std::size_t> ids) {
+  std::vector<std::size_t> local(cand.size(), kNone);
+  for (std::size_t k = 0; k < ids.size(); ++k) local[ids[k]] = k;
+  std::vector<std::vector<std::size_t>> adj(ids.size());
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    for (const std::size_t c : cand.neighbors(ids[k])) {
+      const std::size_t j = local[c];
+      if (j == kNone) continue;
+      adj[k].push_back(j);
+      adj[j].push_back(k);
+    }
+  }
+  for (auto& a : adj) {
+    std::sort(a.begin(), a.end());
+    a.erase(std::unique(a.begin(), a.end()), a.end());
+  }
+  return adj;
+}
+
+/// Lazy-heap Prim over the contracted graph restricted to `adj` plus the
+/// root's star, which keeps it connected: O((d·k + d) log d). Stale heap
+/// entries are skipped on extraction; pair ordering breaks key ties on
+/// the smaller node index, as the dense scan does. Each extraction
+/// gathers its open neighbors, probes them in one batch, then relaxes
+/// them in adjacency order.
+graph::MstResult prim_sparse(const DistanceView& distances,
+                             std::span<const std::size_t> ids,
+                             std::span<const double> root_dist,
+                             const std::vector<std::vector<std::size_t>>& adj,
+                             std::uint64_t& probes) {
+  const std::size_t d = ids.size();
+  graph::MstResult result;
+  std::vector<double> best(d + 1, kInf);
+  std::vector<std::size_t> best_from(d + 1, kNone);
+  std::vector<char> in_tree(d + 1, 0);
+  using Item = std::pair<double, std::size_t>;
+  std::priority_queue<Item, std::vector<Item>, std::greater<Item>> heap;
+
+  in_tree[0] = 1;
+  for (std::size_t k = 0; k < d; ++k) {
+    best[k + 1] = root_dist[k];
+    best_from[k + 1] = 0;
+    heap.emplace(root_dist[k], k + 1);
+  }
+
+  result.edges.reserve(d);
+  std::vector<std::size_t> batch_js;
+  std::vector<std::size_t> batch_v;
+  std::vector<double> batch_w;
+  for (std::size_t added = 0; added < d;) {
+    MWC_ASSERT_MSG(!heap.empty(), "root star keeps the aux graph connected");
+    const auto [key, u] = heap.top();
+    heap.pop();
+    if (in_tree[u] || key > best[u]) continue;  // stale entry
+    in_tree[u] = 1;
+    result.edges.push_back(graph::Edge{best_from[u], u, best[u]});
+    result.total_weight += best[u];
+    ++added;
+    batch_js.clear();
+    batch_v.clear();
+    for (const std::size_t j : adj[u - 1]) {
+      const std::size_t v = j + 1;
+      if (in_tree[v]) continue;
+      batch_js.push_back(ids[j]);
+      batch_v.push_back(v);
+    }
+    if (batch_js.empty()) continue;
+    probes += batch_js.size();
+    batch_w.resize(batch_js.size());
+    distances.distances_to(ids[u - 1], batch_js, batch_w.data());
+    for (std::size_t t = 0; t < batch_v.size(); ++t) {
+      const std::size_t v = batch_v[t];
+      const double w = batch_w[t];
+      if (w < best[v]) {
+        best[v] = w;
+        best_from[v] = u;
+        heap.emplace(w, v);
+      }
+    }
+  }
+  return result;
+}
+
+/// Dense Prim over the complete contracted graph: O(d²) time, O(d)
+/// memory. `pair(i, j)` is the distance between sensors i and j.
+template <typename PairDist>
+graph::MstResult prim_dense(std::span<const double> root_dist,
+                            PairDist&& pair) {
   const auto aux_dist = [&](std::size_t i, std::size_t j) -> double {
     if (i == j) return 0.0;
     if (i == 0) return root_dist[j - 1];
     if (j == 0) return root_dist[i - 1];
-    ++probes;
-    return distances(q + i - 1, q + j - 1);
+    return pair(i - 1, j - 1);
   };
+  return graph::prim_mst_with(root_dist.size() + 1, aux_dist, /*root=*/0);
+}
 
-  graph::MstResult mst;
-  const bool pruned = prunable(candidates, distances.size());
-  if (pruned && sensors_connected(*candidates, q)) {
-    mst = prim_msf_pruned(distances, q, *candidates, root_dist, probes,
-                          cand_evals);
-  } else {
-    if (pruned) MWC_OBS_COUNT("tsp.msf_dense_fallbacks");
-    mst = graph::prim_mst_with(m + 1, aux_dist, /*root=*/0);
+/// Un-contract: the owner of every aux node 1..d (entry 0 unused). Each
+/// subtree hanging off the virtual root attaches through exactly one root
+/// edge, so a root-star node takes root_owner(k) for its sensor k and
+/// every other node inherits its parent's owner. Prim emits each edge as
+/// (tree node, new node), so one pass in edge order resolves every owner.
+template <typename RootOwner>
+std::vector<std::size_t> uncontract(const graph::MstResult& mst,
+                                    std::size_t d, RootOwner&& root_owner) {
+  std::vector<std::size_t> owner(d + 1, kNone);
+  for (const graph::Edge& e : mst.edges) {
+    MWC_DEBUG_ASSERT(e.v != 0 && (e.u == 0 || owner[e.u] != kNone));
+    owner[e.v] = e.u == 0 ? root_owner(e.v - 1) : owner[e.u];
   }
-  MWC_OBS_COUNT_N("oracle.probes", probes);
-  MWC_OBS_COUNT_N("tsp.cand.hits", cand_evals);
+  return owner;
+}
 
-  // Un-contract: an MST edge (0, k) becomes (nearest_depot[k-1], sensor).
-  // Each subtree hanging off the virtual root attaches through exactly one
-  // such edge, so assigning subtree edges to that depot partitions the MST
-  // into q depot-rooted trees (possibly several subtrees per depot).
-  const auto parent = graph::mst_parents(m + 1, mst.edges, /*root=*/0);
+/// The one contracted MSF behind q_rooted_msf and repair_q_rooted_msf.
+/// Spans the sorted combined sensor ids `ids` from a virtual root holding
+/// the active `depots` plus the `clean` sensors (owner[c] = the depot
+/// whose kept tree holds c, kNone elsewhere). A sensor's root edge is its
+/// nearest active depot (ties to the first), then any strictly closer
+/// clean sensor among its candidates (all clean sensors when dense).
+/// Non-null `cand` runs lazy-heap Prim over its edges; null runs dense
+/// Prim. Returns the new edges per depot (size q) in combined ids.
+std::vector<std::vector<graph::Edge>> contracted_msf(
+    const DistanceView& distances, std::size_t q,
+    std::span<const std::size_t> ids, std::span<const std::size_t> depots,
+    std::span<const std::size_t> clean, std::span<const std::size_t> owner,
+    const CandidateGraph* cand) {
+  const std::size_t d = ids.size();
+  // Probes accumulate in locals and flush once at the end, so the inner
+  // loops pay no atomic traffic.
+  std::uint64_t probes = static_cast<std::uint64_t>(d) * depots.size();
+  std::uint64_t cand_hits = 0;
 
-  // owner[aux_node] = depot owning that node's subtree (sensors only).
-  std::vector<std::size_t> owner(m + 1, q);
-  // Resolve owners top-down: a sensor attached to the root gets its
-  // nearest depot; otherwise it inherits its parent's owner. Iterate until
-  // fixed point (parents can appear after children in edge order, so walk
-  // by increasing depth via repeated sweeps; MST has <= m+1 nodes so the
-  // loop is cheap).
-  {
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (std::size_t v = 1; v <= m; ++v) {
-        if (owner[v] != q) continue;
-        if (parent[v] == 0) {
-          owner[v] = nearest_depot[v - 1];
-          changed = true;
-        } else if (owner[parent[v]] != q) {
-          owner[v] = owner[parent[v]];
-          changed = true;
+  std::vector<double> root_dist(d, kInf);
+  std::vector<std::size_t> attach(d, kNone);
+  // Distances are symmetric bit-for-bit, so probing (depot, sensor)
+  // equals (sensor, depot).
+  scan_roots(depots,
+             [&](std::size_t l, std::size_t k0, std::size_t len, double* out) {
+               distances.distances_to(l, ids.subspan(k0, len), out);
+             },
+             root_dist, attach);
+  if (!clean.empty()) {
+    std::vector<std::size_t> targets;
+    std::vector<double> tw;
+    for (std::size_t k = 0; k < d; ++k) {
+      if (cand != nullptr) {
+        targets.clear();
+        for (const std::size_t c : cand->neighbors(ids[k]))
+          if (owner[c] != kNone) targets.push_back(c);
+        cand_hits += targets.size();
+      } else {
+        targets.assign(clean.begin(), clean.end());
+      }
+      if (targets.empty()) continue;
+      tw.resize(targets.size());
+      distances.distances_to(ids[k], targets, tw.data());
+      probes += targets.size();
+      for (std::size_t t = 0; t < targets.size(); ++t) {
+        if (tw[t] < root_dist[k]) {
+          root_dist[k] = tw[t];
+          attach[k] = targets[t];
         }
       }
     }
   }
 
-  // Build per-depot edge lists in combined index space.
-  std::vector<std::vector<graph::Edge>> depot_edges(q);
-  for (const auto& e : mst.edges) {
-    const std::size_t a = e.u;
-    const std::size_t b = e.v;
-    if (a == 0 || b == 0) {
-      const std::size_t s = (a == 0) ? b : a;  // sensor aux index
-      const std::size_t depot = nearest_depot[s - 1];
-      depot_edges[depot].push_back(
-          graph::Edge{depot, q + (s - 1), e.w});
-    } else {
-      const std::size_t depot = owner[a];
-      MWC_DEBUG_ASSERT(owner[a] == owner[b]);
-      depot_edges[depot].push_back(
-          graph::Edge{q + (a - 1), q + (b - 1), e.w});
-    }
+  graph::MstResult mst;
+  if (cand != nullptr) {
+    const std::uint64_t before = probes;
+    mst = prim_sparse(distances, ids, root_dist,
+                      candidate_adjacency(*cand, ids), probes);
+    cand_hits += probes - before;
+  } else {
+    mst = prim_dense(root_dist, [&](std::size_t i, std::size_t j) {
+      ++probes;
+      return distances(ids[i], ids[j]);
+    });
   }
+  MWC_OBS_COUNT_N("oracle.probes", probes);
+  MWC_OBS_COUNT_N("tsp.cand.hits", cand_hits);
 
-  for (std::size_t l = 0; l < q; ++l) {
-    result.trees.emplace_back(l, depot_edges[l]);
-    result.total_weight += result.trees.back().total_weight();
+  const auto tree_of = uncontract(mst, d, [&](std::size_t k) {
+    return attach[k] < q ? attach[k] : owner[attach[k]];
+  });
+  std::vector<std::vector<graph::Edge>> edges(q);
+  for (const graph::Edge& e : mst.edges) {
+    const std::size_t from = e.u == 0 ? attach[e.v - 1] : ids[e.u - 1];
+    edges[tree_of[e.v]].push_back(graph::Edge{from, ids[e.v - 1], e.w});
   }
-  MWC_DEBUG_ASSERT(std::abs(result.total_weight - mst.total_weight) <
-                   1e-6 * (1.0 + mst.total_weight));
-  return result;
+  return edges;
 }
 
 }  // namespace
@@ -279,7 +288,34 @@ QRootedForest q_rooted_msf(const QRootedInstance& instance) {
 
 QRootedForest q_rooted_msf(const DistanceView& distances, std::size_t q,
                            const CandidateGraph* candidates) {
-  return msf_impl(distances, q, candidates);
+  MWC_OBS_SCOPE("tsp.q_rooted_msf");
+  MWC_ASSERT_MSG(q >= 1, "q-rooted MSF needs at least one depot");
+  MWC_ASSERT(q <= distances.size());
+  const std::size_t m = distances.size() - q;
+
+  const CandidateGraph* cand =
+      prunable(candidates, distances.size()) ? candidates : nullptr;
+  if (m > 0) {
+    MWC_OBS_COUNT("tsp.msf_builds");
+    if (cand != nullptr && !sensors_connected(*cand, q)) {
+      MWC_OBS_COUNT("tsp.msf_dense_fallbacks");
+      cand = nullptr;
+    }
+  }
+  std::vector<std::size_t> depots(q);
+  std::iota(depots.begin(), depots.end(), std::size_t{0});
+  std::vector<std::size_t> sensors(m);
+  std::iota(sensors.begin(), sensors.end(), q);
+  const auto edges =
+      contracted_msf(distances, q, sensors, depots, {}, {}, cand);
+
+  QRootedForest result;
+  result.trees.reserve(q);
+  for (std::size_t l = 0; l < q; ++l) {
+    result.trees.emplace_back(l, edges[l]);
+    result.total_weight += result.trees.back().total_weight();
+  }
+  return result;
 }
 
 QRootedForest repair_q_rooted_msf(const DistanceView& distances,
@@ -289,8 +325,6 @@ QRootedForest repair_q_rooted_msf(const DistanceView& distances,
                                   MsfRepairStats* stats) {
   MWC_OBS_SCOPE("tsp.msf_repair");
   MWC_OBS_COUNT("tsp.repair.msf");
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
   MWC_ASSERT_MSG(q >= 1 && base.trees.size() == q,
                  "base forest must have one tree per depot");
   MWC_ASSERT_MSG(plan.tree_dirty.size() == q, "tree_dirty must have size q");
@@ -298,16 +332,15 @@ QRootedForest repair_q_rooted_msf(const DistanceView& distances,
                  "root_active must be empty or size q");
   const std::size_t total = distances.size();
 
-  const auto active = [&](std::size_t l) {
-    return plan.root_active.empty() || plan.root_active[l] != 0;
-  };
-  std::size_t num_active = 0;
+  std::vector<std::size_t> active_depots;
   for (std::size_t l = 0; l < q; ++l) {
-    if (active(l)) ++num_active;
-    MWC_ASSERT_MSG(active(l) || plan.tree_dirty[l] != 0,
-                   "inactive roots must have dirty trees");
+    if (plan.root_active.empty() || plan.root_active[l] != 0)
+      active_depots.push_back(l);
+    else
+      MWC_ASSERT_MSG(plan.tree_dirty[l] != 0,
+                     "inactive roots must have dirty trees");
   }
-  MWC_ASSERT_MSG(num_active >= 1, "at least one depot must stay active");
+  MWC_ASSERT_MSG(!active_depots.empty(), "at least one depot must stay active");
 
   // Split sensors into the dirty region (re-spanned below) and the clean
   // remainder (kept verbatim, owner recorded for grafting).
@@ -331,172 +364,12 @@ QRootedForest repair_q_rooted_msf(const DistanceView& distances,
     dirty.push_back(v);
   }
   std::sort(dirty.begin(), dirty.end());
-  const std::size_t d = dirty.size();
-  MWC_OBS_COUNT_N("tsp.repair.dirty_sensors", d);
-  if (stats != nullptr) stats->dirty_sensors = d;
+  MWC_OBS_COUNT_N("tsp.repair.dirty_sensors", dirty.size());
+  if (stats != nullptr) stats->dirty_sensors = dirty.size();
 
-  std::uint64_t probes = 0;
-  std::uint64_t cand_evals = 0;
-
-  // Dirty-local index of each combined id.
-  std::vector<std::size_t> local(total, kNone);
-  for (std::size_t k = 0; k < d; ++k) local[dirty[k]] = k;
-
-  // Virtual-root star: everything already connected — active depots and
-  // clean sensors — contracts into aux node 0. For each dirty sensor,
-  // find its cheapest attachment into that structure: all active depots
-  // exactly, plus clean sensors from its candidate row (or all of them
-  // when running dense).
-  std::vector<double> root_dist(d, kInf);
-  std::vector<std::size_t> attach(d, kNone);  // combined id realizing it
-  const bool pruned = prunable(candidates, total);
-  {
-    // Batched attachment scan: per dirty sensor, gather every legal
-    // attachment target in the seed's evaluation order (active depots
-    // ascending, then candidate/clean sensors), one row probe, then the
-    // original strict-< merge — first minimum wins, bit-identical.
-    std::vector<std::size_t> active_depots;
-    for (std::size_t l = 0; l < q; ++l)
-      if (active(l)) active_depots.push_back(l);
-    std::vector<std::size_t> targets;
-    std::vector<double> tw;
-    for (std::size_t k = 0; k < d; ++k) {
-      const std::size_t s = dirty[k];
-      targets.assign(active_depots.begin(), active_depots.end());
-      if (pruned) {
-        for (const std::size_t c : candidates->neighbors(s)) {
-          ++cand_evals;
-          if (c < q || owner[c] == kNone) continue;
-          targets.push_back(c);
-        }
-      } else {
-        targets.insert(targets.end(), clean.begin(), clean.end());
-      }
-      tw.resize(targets.size());
-      distances.distances_to(s, targets, tw.data());
-      probes += targets.size();
-      for (std::size_t t = 0; t < targets.size(); ++t) {
-        if (tw[t] < root_dist[k]) {
-          root_dist[k] = tw[t];
-          attach[k] = targets[t];
-        }
-      }
-    }
-  }
-
-  // Dirty-dirty adjacency: candidate rows restricted to the dirty set
-  // (symmetrized), or all pairs when dense.
-  std::vector<std::vector<std::size_t>> adj(d);
-  if (pruned) {
-    for (std::size_t k = 0; k < d; ++k) {
-      for (const std::size_t c : candidates->neighbors(dirty[k])) {
-        ++cand_evals;
-        if (c < q || local[c] == kNone) continue;
-        adj[k].push_back(local[c]);
-        adj[local[c]].push_back(k);
-      }
-    }
-    for (auto& a : adj) {
-      std::sort(a.begin(), a.end());
-      a.erase(std::unique(a.begin(), a.end()), a.end());
-    }
-  } else {
-    for (std::size_t k = 0; k < d; ++k)
-      for (std::size_t j = 0; j < d; ++j)
-        if (j != k) adj[k].push_back(j);
-  }
-
-  // Lazy-heap Prim over aux nodes {0 = contracted clean structure,
-  // 1..d = dirty sensors} — the same scheme as prim_msf_pruned.
-  graph::MstResult mst;
-  if (d > 0) {
-    std::vector<double> best(d + 1, kInf);
-    std::vector<std::size_t> best_from(d + 1, kNone);
-    std::vector<char> in_tree(d + 1, 0);
-    using Item = std::pair<double, std::size_t>;
-    std::priority_queue<Item, std::vector<Item>, std::greater<Item>> heap;
-    in_tree[0] = 1;
-    for (std::size_t k = 0; k < d; ++k) {
-      best[k + 1] = root_dist[k];
-      best_from[k + 1] = 0;
-      heap.emplace(root_dist[k], k + 1);
-    }
-    mst.edges.reserve(d);
-    // Same gather / batch-probe / relay scheme as prim_msf_pruned.
-    std::vector<std::size_t> batch_js;
-    std::vector<std::size_t> batch_v;
-    std::vector<double> batch_w;
-    for (std::size_t added = 0; added < d;) {
-      MWC_ASSERT_MSG(!heap.empty(), "root star keeps the aux graph connected");
-      const auto [key, u] = heap.top();
-      heap.pop();
-      if (in_tree[u] || key > best[u]) continue;  // stale entry
-      in_tree[u] = 1;
-      mst.edges.push_back(graph::Edge{best_from[u], u, best[u]});
-      mst.total_weight += best[u];
-      ++added;
-      batch_js.clear();
-      batch_v.clear();
-      for (const std::size_t j : adj[u - 1]) {
-        const std::size_t v = j + 1;
-        if (in_tree[v]) continue;
-        batch_js.push_back(dirty[j]);
-        batch_v.push_back(v);
-      }
-      if (batch_js.empty()) continue;
-      probes += batch_js.size();
-      batch_w.resize(batch_js.size());
-      distances.distances_to(dirty[u - 1], batch_js, batch_w.data());
-      for (std::size_t t = 0; t < batch_v.size(); ++t) {
-        const std::size_t v = batch_v[t];
-        const double w = batch_w[t];
-        if (w < best[v]) {
-          best[v] = w;
-          best_from[v] = u;
-          heap.emplace(w, v);
-        }
-      }
-    }
-  }
-  MWC_OBS_COUNT_N("oracle.probes", probes);
-  MWC_OBS_COUNT_N("tsp.cand.hits", cand_evals);
-
-  // Un-contract in the dirty subspace: sensors attached to aux node 0
-  // inherit the depot of their attachment point (the depot itself, or
-  // the owner of the clean sensor they graft onto); sensor-sensor edges
-  // inherit by parent propagation.
-  const auto parent = graph::mst_parents(d + 1, mst.edges, /*root=*/0);
-  std::vector<std::size_t> dirty_owner(d + 1, kNone);
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (std::size_t v = 1; v <= d; ++v) {
-      if (dirty_owner[v] != kNone) continue;
-      if (parent[v] == 0) {
-        const std::size_t at = attach[v - 1];
-        dirty_owner[v] = at < q ? at : owner[at];
-        changed = true;
-      } else if (dirty_owner[parent[v]] != kNone) {
-        dirty_owner[v] = dirty_owner[parent[v]];
-        changed = true;
-      }
-    }
-  }
-
-  std::vector<std::vector<graph::Edge>> new_edges(q);
-  for (const auto& e : mst.edges) {
-    const std::size_t u = e.u;
-    const std::size_t v = e.v;
-    if (u == 0 || v == 0) {
-      const std::size_t k = (u == 0) ? v : u;  // dirty aux index
-      new_edges[dirty_owner[k]].push_back(
-          graph::Edge{attach[k - 1], dirty[k - 1], e.w});
-    } else {
-      MWC_DEBUG_ASSERT(dirty_owner[u] == dirty_owner[v]);
-      new_edges[dirty_owner[u]].push_back(
-          graph::Edge{dirty[u - 1], dirty[v - 1], e.w});
-    }
-  }
+  const auto new_edges = contracted_msf(
+      distances, q, dirty, active_depots, clean, owner,
+      prunable(candidates, total) ? candidates : nullptr);
 
   QRootedForest result;
   result.trees.reserve(q);
@@ -614,48 +487,25 @@ MultiRootAssignment q_rooted_msf_assign(
   result.groups.assign(num_roots, {});
   if (m == 0) return result;
 
-  std::vector<double> best_root_dist(m,
-                                     std::numeric_limits<double>::infinity());
+  std::vector<std::size_t> roots(num_roots);
+  std::iota(roots.begin(), roots.end(), std::size_t{0});
+  std::vector<double> best_root_dist(m, kInf);
   std::vector<std::size_t> nearest_root(m, 0);
-  for (std::size_t k = 0; k < m; ++k) {
-    for (std::size_t r = 0; r < num_roots; ++r) {
-      const double d = root_dist(r, k);
-      if (d < best_root_dist[k]) {
-        best_root_dist[k] = d;
-        nearest_root[k] = r;
-      }
-    }
-  }
+  scan_roots(roots,
+             [&](std::size_t r, std::size_t k0, std::size_t len, double* out) {
+               for (std::size_t k = 0; k < len; ++k)
+                 out[k] = root_dist(r, k0 + k);
+             },
+             best_root_dist, nearest_root);
 
-  const auto aux_dist = [&](std::size_t i, std::size_t j) -> double {
-    if (i == j) return 0.0;
-    if (i == 0) return best_root_dist[j - 1];
-    if (j == 0) return best_root_dist[i - 1];
-    return geom::distance(sensors[i - 1], sensors[j - 1]);
-  };
-  const auto mst = graph::prim_mst(m + 1, aux_dist, /*root=*/0);
+  const auto mst = prim_dense(best_root_dist, [&](std::size_t i,
+                                                  std::size_t j) {
+    return geom::distance(sensors[i], sensors[j]);
+  });
   result.total_weight = mst.total_weight;
-
-  const auto parent = graph::mst_parents(m + 1, mst.edges, /*root=*/0);
-  std::vector<std::size_t> owner(m + 1, num_roots);
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (std::size_t v = 1; v <= m; ++v) {
-      if (owner[v] != num_roots) continue;
-      if (parent[v] == 0) {
-        owner[v] = nearest_root[v - 1];
-        changed = true;
-      } else if (owner[parent[v]] != num_roots) {
-        owner[v] = owner[parent[v]];
-        changed = true;
-      }
-    }
-  }
-  for (std::size_t v = 1; v <= m; ++v) {
-    MWC_DEBUG_ASSERT(owner[v] < num_roots);
-    result.groups[owner[v]].push_back(v - 1);
-  }
+  const auto owner =
+      uncontract(mst, m, [&](std::size_t k) { return nearest_root[k]; });
+  for (std::size_t k = 0; k < m; ++k) result.groups[owner[k + 1]].push_back(k);
   return result;
 }
 

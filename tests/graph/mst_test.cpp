@@ -102,24 +102,6 @@ TEST_P(MstAgreement, PrimEqualsKruskal) {
 INSTANTIATE_TEST_SUITE_P(Seeds, MstAgreement,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
 
-TEST(MstParents, RootIsItsOwnParent) {
-  const auto pts = random_points(20, 9);
-  const geom::DistanceMatrix d(pts);
-  const auto mst = prim_mst(d);
-  const auto parent = mst_parents(pts.size(), mst.edges, 5);
-  EXPECT_EQ(parent[5], 5u);
-  // Every node reaches the root.
-  for (std::size_t v = 0; v < pts.size(); ++v) {
-    std::size_t u = v;
-    std::size_t steps = 0;
-    while (u != 5 && steps <= pts.size()) {
-      u = parent[u];
-      ++steps;
-    }
-    EXPECT_EQ(u, 5u) << "node " << v << " does not reach the root";
-  }
-}
-
 TEST(PrimMst, FunctionOracleMatchesMatrix) {
   const auto pts = random_points(25, 10);
   const geom::DistanceMatrix d(pts);

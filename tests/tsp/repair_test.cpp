@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -132,20 +134,57 @@ std::vector<std::size_t> spanned_sensors(const QRootedForest& forest,
   return out;
 }
 
-TEST(MsfRepair, AllDirtyEqualsDenseRebuild) {
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    const QRootedInstance instance = random_instance(80, 3, seed);
-    const QRootedForest base = q_rooted_msf(instance);
+/// Same forest, edge for edge: per tree the same edges in the same order,
+/// same endpoints, bit-equal weights.
+void expect_same_edges(const QRootedForest& got, const QRootedForest& want) {
+  ASSERT_EQ(got.trees.size(), want.trees.size());
+  for (std::size_t l = 0; l < want.trees.size(); ++l) {
+    const auto& a = got.trees[l].edges();
+    const auto& b = want.trees[l].edges();
+    ASSERT_EQ(a.size(), b.size()) << "tree " << l;
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      EXPECT_EQ(a[i].u, b[i].u) << "tree " << l << " edge " << i;
+      EXPECT_EQ(a[i].v, b[i].v) << "tree " << l << " edge " << i;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i].w),
+                std::bit_cast<std::uint64_t>(b[i].w))
+          << "tree " << l << " edge " << i;
+    }
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.total_weight),
+            std::bit_cast<std::uint64_t>(want.total_weight));
+}
 
-    MsfRepairPlan plan;
-    plan.tree_dirty.assign(instance.q(), 1);
-    MsfRepairStats stats;
-    const QRootedForest repaired = repair_q_rooted_msf(
-        instance.distances(), instance.q(), base, plan, nullptr, &stats);
-    EXPECT_NEAR(repaired.total_weight, base.total_weight, 1e-9);
-    EXPECT_EQ(stats.rebuilt_trees + stats.reused_trees, instance.q());
-    EXPECT_EQ(stats.reused_trees, 0u);
-    ASSERT_EQ(stats.tree_changed.size(), instance.q());
+// With every tree dirty the repair contracts nothing but the depots, so
+// it must replay the full build step by step, dense and pruned alike.
+TEST(MsfRepair, AllDirtyEqualsDenseRebuild) {
+  struct Case {
+    std::size_t m;
+    std::size_t q;
+    std::uint64_t seed;
+  };
+  for (const Case c : {Case{80, 3, 1}, Case{80, 3, 2}, Case{80, 3, 3},
+                       Case{80, 3, 4}, Case{2000, 5, 5}}) {
+    const QRootedInstance instance = random_instance(c.m, c.q, c.seed);
+    const DistanceView view = instance.distances();
+    const CandidateGraph graph =
+        CandidateGraph::build(instance.points().materialize());
+    for (const CandidateGraph* candidates :
+         {static_cast<const CandidateGraph*>(nullptr), &graph}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "m=" << c.m << " q=" << c.q << " seed=" << c.seed
+                   << (candidates != nullptr ? " pruned" : " dense"));
+      const QRootedForest full = q_rooted_msf(view, c.q, candidates);
+
+      MsfRepairPlan plan;
+      plan.tree_dirty.assign(c.q, 1);
+      MsfRepairStats stats;
+      const QRootedForest repaired =
+          repair_q_rooted_msf(view, c.q, full, plan, candidates, &stats);
+      expect_same_edges(repaired, full);
+      EXPECT_EQ(stats.rebuilt_trees, c.q);
+      EXPECT_EQ(stats.reused_trees, 0u);
+      ASSERT_EQ(stats.tree_changed.size(), c.q);
+    }
   }
 }
 
@@ -180,9 +219,11 @@ TEST(MsfRepair, LocalPatchSpansEverySensorAndKeepsCleanTrees) {
   EXPECT_GE(repaired.total_weight, optimal.total_weight - 1e-9);
   // Clean trees that gained no graft come back verbatim.
   EXPECT_GE(stats.reused_trees, 1u);
-  for (std::size_t l = 0; l < patched.q(); ++l)
-    if (!stats.tree_changed[l])
+  for (std::size_t l = 0; l < patched.q(); ++l) {
+    if (!stats.tree_changed[l]) {
       EXPECT_EQ(repaired.trees[l].nodes(), base.trees[l].nodes());
+    }
+  }
 }
 
 TEST(MsfRepair, InactiveRootAttractsNoSensors) {
