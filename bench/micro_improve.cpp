@@ -7,10 +7,7 @@
 //                   [--metrics-out PATH] [--trace-out PATH]
 //
 // Above --exhaustive-cap the O(n²) exhaustive arm is skipped (its sweeps
-// take hours at n = 10k+) and the candidate arm is additionally timed
-// with the geom::simd backend disabled, so the large-n grid cells report
-// the vector-vs-scalar ratio of the identical candidate pipeline
-// instead (bit-identical tours either way).
+// take hours at n = 10k+).
 //
 // Both arms run the full q_rooted_tsp pipeline (MSF → double-tree →
 // polish) on the identical direct-geometry instance; the candidate arm's
@@ -29,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "geom/simd.hpp"
 #include "obs/obs.hpp"
 #include "tsp/candidates.hpp"
 #include "tsp/qrooted.hpp"
@@ -81,11 +77,9 @@ int main(int argc, char** argv) {
 
   double exhaustive_ms = 0.0;
   double candidate_ms = 0.0;
-  double candidate_scalar_ms = 0.0;
   double parallel_ms = 0.0;
   double exhaustive_length = 0.0;
   double candidate_length = 0.0;
-  double candidate_scalar_length = 0.0;
   Timer timer;
   for (std::size_t t = 0; t < trials; ++t) {
     double e_ms = 0.0;
@@ -109,21 +103,6 @@ int main(int argc, char** argv) {
     candidate_length = acc.total_length;
     checksum += acc.total_length;
 
-    // The identical candidate pipeline on the scalar fallback kernels —
-    // the vector-vs-scalar ratio for the large-n cells (tours must come
-    // out bit-identical; geom/simd.hpp's exactness contract).
-    geom::simd::set_enabled(false);
-    timer.reset();
-    const auto scalar_graph = tsp::CandidateGraph::build(
-        combined, candidate.candidate_options);
-    tsp::QRootedOptions with_scalar_graph = candidate;
-    with_scalar_graph.candidates = &scalar_graph;
-    const auto sc = tsp::q_rooted_tsp(view, q, with_scalar_graph);
-    const double s_ms = timer.elapsed_ms();
-    geom::simd::set_enabled(true);
-    candidate_scalar_length = sc.total_length;
-    checksum += sc.total_length;
-
     double p_ms = c_ms;
     if (threads != 1) {
       ThreadPool pool(threads);
@@ -136,20 +115,16 @@ int main(int argc, char** argv) {
     if (t == 0) {
       exhaustive_ms = e_ms;
       candidate_ms = c_ms;
-      candidate_scalar_ms = s_ms;
       parallel_ms = p_ms;
     } else {
       exhaustive_ms = std::min(exhaustive_ms, e_ms);
       candidate_ms = std::min(candidate_ms, c_ms);
-      candidate_scalar_ms = std::min(candidate_scalar_ms, s_ms);
       parallel_ms = std::min(parallel_ms, p_ms);
     }
   }
 
   const double speedup = candidate_ms > 0.0 ? exhaustive_ms / candidate_ms
                                             : 0.0;
-  const double simd_speedup =
-      candidate_ms > 0.0 ? candidate_scalar_ms / candidate_ms : 0.0;
   const double quality_pct =
       exhaustive_length > 0.0
           ? (candidate_length / exhaustive_length - 1.0) * 100.0
@@ -164,18 +139,9 @@ int main(int argc, char** argv) {
   }
   std::printf("  candidate polish  %10.3f ms  length %12.3f\n",
               candidate_ms, candidate_length);
-  std::printf("  candidate scalar  %10.3f ms  length %12.3f  (%.2fx simd)\n",
-              candidate_scalar_ms, candidate_scalar_length, simd_speedup);
   std::printf("  parallel polish   %10.3f ms\n", parallel_ms);
   std::printf("  speedup %.2fx, tour delta %+.3f%%  (checksum %.3f)\n",
               speedup, quality_pct, checksum);
-  if (candidate_scalar_length != candidate_length) {
-    std::fprintf(stderr,
-                 "FAIL: scalar-fallback candidate tours diverged from the "
-                 "simd tours (%.6f vs %.6f)\n",
-                 candidate_scalar_length, candidate_length);
-    return 1;
-  }
 
   if (!json_path.empty()) {
     std::FILE* f = std::fopen(json_path.c_str(), "w");
@@ -193,8 +159,6 @@ int main(int argc, char** argv) {
                  "  \"exhaustive_ran\": %s,\n"
                  "  \"exhaustive_ms\": %.6f,\n"
                  "  \"candidate_ms\": %.6f,\n"
-                 "  \"candidate_scalar_ms\": %.6f,\n"
-                 "  \"simd_speedup\": %.3f,\n"
                  "  \"parallel_ms\": %.6f,\n"
                  "  \"speedup\": %.3f,\n"
                  "  \"exhaustive_length\": %.6f,\n"
@@ -202,9 +166,8 @@ int main(int argc, char** argv) {
                  "  \"quality_delta_pct\": %.4f\n"
                  "}\n",
                  n, q, k, trials, run_exhaustive ? "true" : "false",
-                 exhaustive_ms, candidate_ms, candidate_scalar_ms,
-                 simd_speedup, parallel_ms, speedup, exhaustive_length,
-                 candidate_length, quality_pct);
+                 exhaustive_ms, candidate_ms, parallel_ms, speedup,
+                 exhaustive_length, candidate_length, quality_pct);
     std::fclose(f);
     std::printf("wrote %s\n", json_path.c_str());
   }

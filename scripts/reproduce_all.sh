@@ -34,10 +34,7 @@ ABLS="abl_tour_improvement abl_charger_count abl_rounding abl_fleet \
     echo
     "$BUILD/bench/$b" --trials "$TRIALS"
   done
-  echo
-  scripts/bench_kernels.sh "$OUT/BENCH_kernels.json"
 } | tee "$OUT/reproduction_run.txt"
 
 echo
-echo "done: tables in $OUT/reproduction_run.txt, CSVs and SVG charts in $OUT/,"
-echo "      SIMD kernel grid in $OUT/BENCH_kernels.json"
+echo "done: tables in $OUT/reproduction_run.txt, CSVs and SVG charts in $OUT/"

@@ -30,9 +30,8 @@ struct Point {
 
 /// The one definition of squared Euclidean arithmetic: dx*dx + dy*dy in
 /// exactly this order. Every distance path — Point/BBox overloads, the
-/// KdTree pruning tests, and the SIMD kernels in geom/simd.hpp
-/// (per-lane) — routes through this helper, so the scalar fallback and
-/// every vector backend compute bit-identical values.
+/// KdTree pruning tests, and the batch kernels in geom/simd.hpp — routes
+/// through this helper, so they all compute bit-identical values.
 constexpr double squared_norm(double dx, double dy) {
   return dx * dx + dy * dy;
 }
@@ -43,8 +42,8 @@ constexpr double distance2(double ax, double ay, double bx, double by) {
 }
 
 /// Euclidean distance. Defined as sqrt(distance2): one IEEE-correctly-
-/// rounded sqrt over the squared norm, which is the form the SIMD kernels
-/// evaluate per lane — scalar and vector paths are bit-identical. (The
+/// rounded sqrt over the squared norm, which is the form the batch kernels
+/// evaluate per element, so batch and pointwise are bit-identical. (The
 /// seed used std::hypot here; the sqrt form trades hypot's overflow
 /// robustness beyond ~1e154 — far outside any deployment field — for a
 /// single vectorizable definition. See docs/ALGORITHMS.md §9.)

@@ -1,336 +1,33 @@
 #include "geom/simd.hpp"
 
-#include <atomic>
 #include <cmath>
 
 #include "geom/point.hpp"
-#include "obs/obs.hpp"
 
-#if defined(__x86_64__) || defined(_M_X64)
-#define MWC_SIMD_X86 1
-#include <immintrin.h>
-#elif defined(__aarch64__) && defined(__ARM_NEON)
-#define MWC_SIMD_NEON 1
-#include <arm_neon.h>
-#endif
+// src/CMakeLists.txt builds this file with -ffp-contract=off, so no FMA
+// changes how distance2 rounds, and -fno-math-errno, so the sqrt of a sum
+// of squares (never negative) vectorizes without an errno path.
 
 namespace mwc::geom::simd {
-namespace {
 
-// ---------------------------------------------------------------------------
-// Scalar reference loops. These are also the tails of every vector kernel,
-// and the whole implementation when compiled out or runtime-disabled. Each
-// lane/iteration is sqrt(squared_norm(dx, dy)) — the arithmetic of
-// geom::distance — so paths agree bit-for-bit.
-// ---------------------------------------------------------------------------
-
-void row_scalar(double qx, double qy, const double* xs, const double* ys,
-                double* out, std::size_t n) {
+void distance_row(double qx, double qy, const double* xs, const double* ys,
+                  double* out, std::size_t n) {
   for (std::size_t j = 0; j < n; ++j) {
     out[j] = std::sqrt(distance2(qx, qy, xs[j], ys[j]));
   }
 }
 
-void row2_scalar(double qx, double qy, const double* xs, const double* ys,
-                 double* out, std::size_t n) {
+void distance2_row(double qx, double qy, const double* xs, const double* ys,
+                   double* out, std::size_t n) {
   for (std::size_t j = 0; j < n; ++j) {
     out[j] = distance2(qx, qy, xs[j], ys[j]);
   }
 }
 
-void pairs_scalar(const double* ax, const double* ay, const double* bx,
-                  const double* by, double* out, std::size_t n) {
-  for (std::size_t j = 0; j < n; ++j) {
-    out[j] = std::sqrt(distance2(ax[j], ay[j], bx[j], by[j]));
-  }
-}
-
-#if MWC_SIMD_ENABLED && defined(MWC_SIMD_X86)
-
-// ---------------------------------------------------------------------------
-// x86 backends. Explicit mul/add intrinsics (never FMA: fused rounding would
-// break bit-exactness with the scalar path), sqrt via the correctly-rounded
-// vsqrtpd. This translation unit is compiled with -ffp-contract=off so the
-// compiler cannot re-fuse them either.
-// ---------------------------------------------------------------------------
-
-__attribute__((target("avx512f"))) void row_avx512(double qx, double qy,
-                                                   const double* xs,
-                                                   const double* ys,
-                                                   double* out,
-                                                   std::size_t n) {
-  const __m512d vqx = _mm512_set1_pd(qx);
-  const __m512d vqy = _mm512_set1_pd(qy);
-  std::size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m512d dx = _mm512_sub_pd(_mm512_loadu_pd(xs + j), vqx);
-    const __m512d dy = _mm512_sub_pd(_mm512_loadu_pd(ys + j), vqy);
-    const __m512d s = _mm512_add_pd(_mm512_mul_pd(dx, dx), _mm512_mul_pd(dy, dy));
-    _mm512_storeu_pd(out + j, _mm512_sqrt_pd(s));
-  }
-  row_scalar(qx, qy, xs + j, ys + j, out + j, n - j);
-}
-
-__attribute__((target("avx512f"))) void row2_avx512(double qx, double qy,
-                                                    const double* xs,
-                                                    const double* ys,
-                                                    double* out,
-                                                    std::size_t n) {
-  const __m512d vqx = _mm512_set1_pd(qx);
-  const __m512d vqy = _mm512_set1_pd(qy);
-  std::size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m512d dx = _mm512_sub_pd(_mm512_loadu_pd(xs + j), vqx);
-    const __m512d dy = _mm512_sub_pd(_mm512_loadu_pd(ys + j), vqy);
-    _mm512_storeu_pd(out + j,
-                     _mm512_add_pd(_mm512_mul_pd(dx, dx), _mm512_mul_pd(dy, dy)));
-  }
-  row2_scalar(qx, qy, xs + j, ys + j, out + j, n - j);
-}
-
-__attribute__((target("avx512f"))) void pairs_avx512(const double* ax,
-                                                     const double* ay,
-                                                     const double* bx,
-                                                     const double* by,
-                                                     double* out,
-                                                     std::size_t n) {
-  std::size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m512d dx =
-        _mm512_sub_pd(_mm512_loadu_pd(ax + j), _mm512_loadu_pd(bx + j));
-    const __m512d dy =
-        _mm512_sub_pd(_mm512_loadu_pd(ay + j), _mm512_loadu_pd(by + j));
-    const __m512d s = _mm512_add_pd(_mm512_mul_pd(dx, dx), _mm512_mul_pd(dy, dy));
-    _mm512_storeu_pd(out + j, _mm512_sqrt_pd(s));
-  }
-  pairs_scalar(ax + j, ay + j, bx + j, by + j, out + j, n - j);
-}
-
-__attribute__((target("avx2"))) void row_avx2(double qx, double qy,
-                                              const double* xs,
-                                              const double* ys, double* out,
-                                              std::size_t n) {
-  const __m256d vqx = _mm256_set1_pd(qx);
-  const __m256d vqy = _mm256_set1_pd(qy);
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m256d dx = _mm256_sub_pd(_mm256_loadu_pd(xs + j), vqx);
-    const __m256d dy = _mm256_sub_pd(_mm256_loadu_pd(ys + j), vqy);
-    const __m256d s = _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy));
-    _mm256_storeu_pd(out + j, _mm256_sqrt_pd(s));
-  }
-  row_scalar(qx, qy, xs + j, ys + j, out + j, n - j);
-}
-
-__attribute__((target("avx2"))) void row2_avx2(double qx, double qy,
-                                               const double* xs,
-                                               const double* ys, double* out,
-                                               std::size_t n) {
-  const __m256d vqx = _mm256_set1_pd(qx);
-  const __m256d vqy = _mm256_set1_pd(qy);
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m256d dx = _mm256_sub_pd(_mm256_loadu_pd(xs + j), vqx);
-    const __m256d dy = _mm256_sub_pd(_mm256_loadu_pd(ys + j), vqy);
-    _mm256_storeu_pd(out + j,
-                     _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)));
-  }
-  row2_scalar(qx, qy, xs + j, ys + j, out + j, n - j);
-}
-
-__attribute__((target("avx2"))) void pairs_avx2(const double* ax,
-                                                const double* ay,
-                                                const double* bx,
-                                                const double* by, double* out,
-                                                std::size_t n) {
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m256d dx =
-        _mm256_sub_pd(_mm256_loadu_pd(ax + j), _mm256_loadu_pd(bx + j));
-    const __m256d dy =
-        _mm256_sub_pd(_mm256_loadu_pd(ay + j), _mm256_loadu_pd(by + j));
-    const __m256d s = _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy));
-    _mm256_storeu_pd(out + j, _mm256_sqrt_pd(s));
-  }
-  pairs_scalar(ax + j, ay + j, bx + j, by + j, out + j, n - j);
-}
-
-// SSE2 is baseline on x86-64: no target attribute needed.
-void row_sse2(double qx, double qy, const double* xs, const double* ys,
-              double* out, std::size_t n) {
-  const __m128d vqx = _mm_set1_pd(qx);
-  const __m128d vqy = _mm_set1_pd(qy);
-  std::size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    const __m128d dx = _mm_sub_pd(_mm_loadu_pd(xs + j), vqx);
-    const __m128d dy = _mm_sub_pd(_mm_loadu_pd(ys + j), vqy);
-    const __m128d s = _mm_add_pd(_mm_mul_pd(dx, dx), _mm_mul_pd(dy, dy));
-    _mm_storeu_pd(out + j, _mm_sqrt_pd(s));
-  }
-  row_scalar(qx, qy, xs + j, ys + j, out + j, n - j);
-}
-
-void row2_sse2(double qx, double qy, const double* xs, const double* ys,
-               double* out, std::size_t n) {
-  const __m128d vqx = _mm_set1_pd(qx);
-  const __m128d vqy = _mm_set1_pd(qy);
-  std::size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    const __m128d dx = _mm_sub_pd(_mm_loadu_pd(xs + j), vqx);
-    const __m128d dy = _mm_sub_pd(_mm_loadu_pd(ys + j), vqy);
-    _mm_storeu_pd(out + j, _mm_add_pd(_mm_mul_pd(dx, dx), _mm_mul_pd(dy, dy)));
-  }
-  row2_scalar(qx, qy, xs + j, ys + j, out + j, n - j);
-}
-
-void pairs_sse2(const double* ax, const double* ay, const double* bx,
-                const double* by, double* out, std::size_t n) {
-  std::size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    const __m128d dx = _mm_sub_pd(_mm_loadu_pd(ax + j), _mm_loadu_pd(bx + j));
-    const __m128d dy = _mm_sub_pd(_mm_loadu_pd(ay + j), _mm_loadu_pd(by + j));
-    const __m128d s = _mm_add_pd(_mm_mul_pd(dx, dx), _mm_mul_pd(dy, dy));
-    _mm_storeu_pd(out + j, _mm_sqrt_pd(s));
-  }
-  pairs_scalar(ax + j, ay + j, bx + j, by + j, out + j, n - j);
-}
-
-#endif  // MWC_SIMD_ENABLED && MWC_SIMD_X86
-
-#if MWC_SIMD_ENABLED && defined(MWC_SIMD_NEON)
-
-void row_neon(double qx, double qy, const double* xs, const double* ys,
-              double* out, std::size_t n) {
-  const float64x2_t vqx = vdupq_n_f64(qx);
-  const float64x2_t vqy = vdupq_n_f64(qy);
-  std::size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    const float64x2_t dx = vsubq_f64(vld1q_f64(xs + j), vqx);
-    const float64x2_t dy = vsubq_f64(vld1q_f64(ys + j), vqy);
-    const float64x2_t s = vaddq_f64(vmulq_f64(dx, dx), vmulq_f64(dy, dy));
-    vst1q_f64(out + j, vsqrtq_f64(s));
-  }
-  row_scalar(qx, qy, xs + j, ys + j, out + j, n - j);
-}
-
-void row2_neon(double qx, double qy, const double* xs, const double* ys,
-               double* out, std::size_t n) {
-  const float64x2_t vqx = vdupq_n_f64(qx);
-  const float64x2_t vqy = vdupq_n_f64(qy);
-  std::size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    const float64x2_t dx = vsubq_f64(vld1q_f64(xs + j), vqx);
-    const float64x2_t dy = vsubq_f64(vld1q_f64(ys + j), vqy);
-    vst1q_f64(out + j, vaddq_f64(vmulq_f64(dx, dx), vmulq_f64(dy, dy)));
-  }
-  row2_scalar(qx, qy, xs + j, ys + j, out + j, n - j);
-}
-
-void pairs_neon(const double* ax, const double* ay, const double* bx,
-                const double* by, double* out, std::size_t n) {
-  std::size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    const float64x2_t dx = vsubq_f64(vld1q_f64(ax + j), vld1q_f64(bx + j));
-    const float64x2_t dy = vsubq_f64(vld1q_f64(ay + j), vld1q_f64(by + j));
-    const float64x2_t s = vaddq_f64(vmulq_f64(dx, dx), vmulq_f64(dy, dy));
-    vst1q_f64(out + j, vsqrtq_f64(s));
-  }
-  pairs_scalar(ax + j, ay + j, bx + j, by + j, out + j, n - j);
-}
-
-#endif  // MWC_SIMD_ENABLED && MWC_SIMD_NEON
-
-// ---------------------------------------------------------------------------
-// Dispatch: probe the CPU once, pick the widest available backend.
-// ---------------------------------------------------------------------------
-
-using RowFn = void (*)(double, double, const double*, const double*, double*,
-                       std::size_t);
-using PairsFn = void (*)(const double*, const double*, const double*,
-                         const double*, double*, std::size_t);
-
-struct Backend {
-  RowFn row = &row_scalar;
-  RowFn row2 = &row2_scalar;
-  PairsFn pairs = &pairs_scalar;
-  unsigned lanes = 1;
-  const char* name = "scalar";
-};
-
-Backend detect() {
-  Backend b;
-#if MWC_SIMD_ENABLED && defined(MWC_SIMD_X86)
-  __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx512f")) {
-    b = {&row_avx512, &row2_avx512, &pairs_avx512, 8, "avx512"};
-  } else if (__builtin_cpu_supports("avx2")) {
-    b = {&row_avx2, &row2_avx2, &pairs_avx2, 4, "avx2"};
-  } else {
-    b = {&row_sse2, &row2_sse2, &pairs_sse2, 2, "sse2"};
-  }
-#elif MWC_SIMD_ENABLED && defined(MWC_SIMD_NEON)
-  b = {&row_neon, &row2_neon, &pairs_neon, 2, "neon"};
-#endif
-  MWC_OBS_GAUGE_SET("geom.simd.lanes", b.lanes);
-  return b;
-}
-
-const Backend& backend_info() {
-  static const Backend b = detect();
-  return b;
-}
-
-std::atomic<bool> g_runtime_enabled{true};
-
-}  // namespace
-
-bool compiled_in() noexcept { return MWC_SIMD_ENABLED != 0; }
-
-bool enabled() noexcept {
-  return compiled_in() && backend_info().lanes > 1 &&
-         g_runtime_enabled.load(std::memory_order_relaxed);
-}
-
-void set_enabled(bool on) noexcept {
-  g_runtime_enabled.store(on, std::memory_order_relaxed);
-}
-
-unsigned lanes() noexcept { return enabled() ? backend_info().lanes : 1; }
-
-const char* backend() noexcept {
-  return enabled() ? backend_info().name : "scalar";
-}
-
-void distance_row(double qx, double qy, const double* xs, const double* ys,
-                  double* out, std::size_t n) {
-  if (enabled()) {
-    backend_info().row(qx, qy, xs, ys, out, n);
-    MWC_OBS_COUNT("geom.simd.rows_vectorized");
-  } else {
-    row_scalar(qx, qy, xs, ys, out, n);
-    MWC_OBS_COUNT("geom.simd.scalar_fallbacks");
-  }
-}
-
-void distance2_row(double qx, double qy, const double* xs, const double* ys,
-                   double* out, std::size_t n) {
-  if (enabled()) {
-    backend_info().row2(qx, qy, xs, ys, out, n);
-    MWC_OBS_COUNT("geom.simd.rows_vectorized");
-  } else {
-    row2_scalar(qx, qy, xs, ys, out, n);
-    MWC_OBS_COUNT("geom.simd.scalar_fallbacks");
-  }
-}
-
 void distance_pairs(const double* ax, const double* ay, const double* bx,
                     const double* by, double* out, std::size_t n) {
-  if (enabled()) {
-    backend_info().pairs(ax, ay, bx, by, out, n);
-    MWC_OBS_COUNT("geom.simd.rows_vectorized");
-  } else {
-    pairs_scalar(ax, ay, bx, by, out, n);
-    MWC_OBS_COUNT("geom.simd.scalar_fallbacks");
+  for (std::size_t j = 0; j < n; ++j) {
+    out[j] = std::sqrt(distance2(ax[j], ay[j], bx[j], by[j]));
   }
 }
 

@@ -284,6 +284,11 @@ Request parse_full(const Json& doc, WireVersion version) {
     throw WireError("horizon must be <= " +
                     std::to_string(static_cast<long>(kMaxHorizonCycles)) +
                     " x the shortest cycle (tau_min)");
+  if (request.slot_length > 0.0 &&
+      request.horizon / request.slot_length > kMaxHorizonCycles)
+    throw WireError("horizon must be <= " +
+                    std::to_string(static_cast<long>(kMaxHorizonCycles)) +
+                    " x slot_length");
   return request;
 }
 

@@ -88,13 +88,14 @@ bool CliArgs::get_bool_or(const std::string& name, bool def) const {
   return def;
 }
 
-void CliArgs::allow_only(std::initializer_list<const char*> known) {
+void CliArgs::allow_only(std::initializer_list<const char*> known,
+                         std::size_t positionals) {
   for (const auto& [flag, value] : flags_)
     if (std::none_of(known.begin(), known.end(),
                      [&](const char* name) { return flag == name; }))
       return fail("unknown flag --" + flag);
-  if (!positional_.empty())
-    fail("unexpected argument '" + positional_.front() + "'");
+  if (positional_.size() > positionals)
+    fail("unexpected argument '" + positional_[positionals] + "'");
 }
 
 void CliArgs::fail(std::string message) const {

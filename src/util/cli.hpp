@@ -33,9 +33,10 @@ class CliArgs {
                        double lo = -HUGE_VAL, double hi = HUGE_VAL) const;
   bool get_bool_or(const std::string& name, bool def) const;
 
-  /// Records an error for the first flag not named in `known`, or the
-  /// first positional argument.
-  void allow_only(std::initializer_list<const char*> known);
+  /// Records an error for the first flag not named in `known`, or for a
+  /// positional argument beyond the first `positionals`.
+  void allow_only(std::initializer_list<const char*> known,
+                  std::size_t positionals = 0);
 
   /// Empty while every flag read so far was valid, else one line naming
   /// the first bad flag.

@@ -1,12 +1,16 @@
-// The SIMD exactness contract: every batch kernel in geom/simd.hpp is
-// bit-identical to the scalar loops it replaces — same values whether the
-// active backend is AVX-512F, AVX2, SSE2, NEON, or the scalar fallback,
-// and the same values as per-pair geom::distance / geom::distance2.
+// The batch-kernel contract: every element of distance_row,
+// distance2_row and distance_pairs is bit for bit what geom::distance or
+// geom::distance2 returns for the same two points. The solver mixes batch
+// and pointwise distances freely (MSF root scans, candidate repair,
+// polish gains), so any drift would split ties differently.
 #include "geom/simd.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "geom/point.hpp"
@@ -16,131 +20,114 @@
 namespace mwc::geom {
 namespace {
 
-/// Restores the runtime SIMD toggle on scope exit, so a failing
-/// EXPECT_* cannot leak a disabled kernel into other tests.
-struct SimdToggleGuard {
-  ~SimdToggleGuard() { simd::set_enabled(true); }
-};
+// Every length up to 17 ends a loop at every possible remainder of any
+// vector width up to 16 doubles.
+constexpr std::size_t kMaxLength = 17;
+constexpr double kSentinel = -7.0;  // no kernel writes a negative value
 
-std::vector<Point> random_points(std::size_t n, std::uint64_t seed) {
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// kMaxLength + 1 points with coordinates of magnitude about `scale`,
+/// random signs.
+std::vector<Point> points_at(double scale, std::uint64_t seed) {
   mwc::Rng rng(seed);
   std::vector<Point> pts;
-  pts.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    pts.push_back({rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)});
+  for (std::size_t i = 0; i <= kMaxLength; ++i) {
+    const double sx = rng.uniform(0.0, 1.0) < 0.5 ? -1.0 : 1.0;
+    const double sy = rng.uniform(0.0, 1.0) < 0.5 ? -1.0 : 1.0;
+    pts.push_back({sx * scale * rng.uniform(0.5, 1.0),
+                   sy * scale * rng.uniform(0.5, 1.0)});
+  }
   return pts;
 }
 
-TEST(Simd, BackendReporting) {
-  SimdToggleGuard guard;
-  EXPECT_GE(simd::lanes(), 1u);
-  if (simd::enabled()) {
-    EXPECT_TRUE(simd::compiled_in());
-    EXPECT_GT(simd::lanes(), 1u);
-    EXPECT_STRNE(simd::backend(), "scalar");
-  }
-  simd::set_enabled(false);
-  EXPECT_FALSE(simd::enabled());
-  EXPECT_EQ(simd::lanes(), 1u);
-  EXPECT_STREQ(simd::backend(), "scalar");
-  simd::set_enabled(true);
-}
-
-// Sizes straddle every lane-width boundary so both the full-vector body
-// and the scalar tail of each kernel are exercised.
-constexpr std::size_t kSizes[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63};
-
-TEST(Simd, DistanceRowMatchesScalarBitForBit) {
-  SimdToggleGuard guard;
-  for (const std::size_t n : kSizes) {
-    const auto pts = random_points(n + 1, 0x51AD + n);
-    const PointsSoA soa(std::span<const Point>(pts).subspan(1));
-    const Point q = pts[0];
-    std::vector<double> vec(n), ref(n);
-    simd::set_enabled(true);
-    simd::distance_row(q.x, q.y, soa.xs().data(), soa.ys().data(), vec.data(),
-                       n);
-    simd::set_enabled(false);
-    simd::distance_row(q.x, q.y, soa.xs().data(), soa.ys().data(), ref.data(),
-                       n);
-    for (std::size_t j = 0; j < n; ++j) {
-      EXPECT_EQ(vec[j], ref[j]) << "n=" << n << " j=" << j;
-      EXPECT_EQ(vec[j], distance(q, soa.point(j)));
-    }
-  }
-}
-
-TEST(Simd, Distance2RowMatchesScalarBitForBit) {
-  SimdToggleGuard guard;
-  for (const std::size_t n : kSizes) {
-    const auto pts = random_points(n + 1, 0xD157 + n);
-    const PointsSoA soa(std::span<const Point>(pts).subspan(1));
-    const Point q = pts[0];
-    std::vector<double> vec(n), ref(n);
-    simd::set_enabled(true);
-    simd::distance2_row(q.x, q.y, soa.xs().data(), soa.ys().data(), vec.data(),
+/// Runs the three kernels over every prefix length of `pts` (query
+/// `pts[0]` for the row kernels, partner `other` for the pairs kernel)
+/// and checks each element against the pointwise reference loop. The
+/// slot past the end must stay untouched.
+void expect_kernels_match_pointwise(const std::vector<Point>& pts,
+                                    const std::vector<Point>& other,
+                                    const std::string& what) {
+  ASSERT_GT(pts.size(), kMaxLength);
+  ASSERT_GT(other.size(), kMaxLength);
+  const Point q = pts[0];
+  const PointsSoA a{std::span<const Point>(pts).subspan(1, kMaxLength)};
+  const PointsSoA b{std::span<const Point>(other).subspan(0, kMaxLength)};
+  for (std::size_t n = 0; n <= kMaxLength; ++n) {
+    std::vector<double> row(n + 1, kSentinel);
+    std::vector<double> row2(n + 1, kSentinel);
+    std::vector<double> pairs(n + 1, kSentinel);
+    simd::distance_row(q.x, q.y, a.xs().data(), a.ys().data(), row.data(), n);
+    simd::distance2_row(q.x, q.y, a.xs().data(), a.ys().data(), row2.data(),
                         n);
-    simd::set_enabled(false);
-    simd::distance2_row(q.x, q.y, soa.xs().data(), soa.ys().data(), ref.data(),
-                        n);
+    simd::distance_pairs(a.xs().data(), a.ys().data(), b.xs().data(),
+                         b.ys().data(), pairs.data(), n);
     for (std::size_t j = 0; j < n; ++j) {
-      EXPECT_EQ(vec[j], ref[j]) << "n=" << n << " j=" << j;
-      EXPECT_EQ(vec[j], distance2(q, soa.point(j)));
+      const Point p = a.point(j);
+      const Point r = b.point(j);
+      EXPECT_EQ(bits(row[j]), bits(distance(q, p)))
+          << what << " distance_row n=" << n << " j=" << j;
+      EXPECT_EQ(bits(row2[j]), bits(distance2(q, p)))
+          << what << " distance2_row n=" << n << " j=" << j;
+      EXPECT_EQ(bits(pairs[j]), bits(distance(p, r)))
+          << what << " distance_pairs n=" << n << " j=" << j;
     }
+    EXPECT_EQ(row[n], kSentinel) << what << " distance_row wrote past n=" << n;
+    EXPECT_EQ(row2[n], kSentinel) << what << " distance2_row wrote past n=" << n;
+    EXPECT_EQ(pairs[n], kSentinel)
+        << what << " distance_pairs wrote past n=" << n;
   }
 }
 
-TEST(Simd, DistancePairsMatchesScalarBitForBit) {
-  SimdToggleGuard guard;
-  for (const std::size_t n : kSizes) {
-    const auto a = random_points(n, 0xAAAA + n);
-    const auto b = random_points(n, 0xBBBB + n);
-    const PointsSoA sa{std::span<const Point>(a)};
-    const PointsSoA sb{std::span<const Point>(b)};
-    std::vector<double> vec(n), ref(n);
-    simd::set_enabled(true);
-    simd::distance_pairs(sa.xs().data(), sa.ys().data(), sb.xs().data(),
-                         sb.ys().data(), vec.data(), n);
-    simd::set_enabled(false);
-    simd::distance_pairs(sa.xs().data(), sa.ys().data(), sb.xs().data(),
-                         sb.ys().data(), ref.data(), n);
-    for (std::size_t j = 0; j < n; ++j) {
-      EXPECT_EQ(vec[j], ref[j]) << "n=" << n << " j=" << j;
-      EXPECT_EQ(vec[j], distance(a[j], b[j]));
-    }
-  }
+TEST(Simd, FieldCoordinatesMatchPointwise) {
+  expect_kernels_match_pointwise(points_at(1000.0, 0x51AD),
+                                 points_at(1000.0, 0xBBBB), "field");
 }
 
-TEST(Simd, KernelIsExactlySqrtOfSquaredNorm) {
-  // The per-lane arithmetic promise the rest of the pipeline builds on:
-  // no FMA, no hypot — sub, mul, add, sqrt in the squared_norm order.
-  SimdToggleGuard guard;
-  const auto pts = random_points(33, 0xE5AC7);
-  const PointsSoA soa{std::span<const Point>(pts)};
-  std::vector<double> row(pts.size());
-  simd::set_enabled(true);
-  simd::distance_row(pts[0].x, pts[0].y, soa.xs().data(), soa.ys().data(),
-                     row.data(), pts.size());
-  for (std::size_t j = 0; j < pts.size(); ++j) {
-    EXPECT_EQ(row[j], std::sqrt(squared_norm(pts[0].x - pts[j].x,
-                                             pts[0].y - pts[j].y)));
-  }
-}
+TEST(Simd, DuplicatePointsMatchPointwise) {
+  // Coincident points give exactly 0 and repeated coordinates exactly
+  // equal distances: both are tie-break inputs downstream.
+  std::vector<Point> pts;
+  for (std::size_t i = 0; i <= kMaxLength; ++i)
+    pts.push_back(i % 3 == 1 ? Point{1.0, 2.0} : Point{5.0, 5.0});
+  expect_kernels_match_pointwise(pts, pts, "duplicates");
 
-TEST(Simd, ZeroAndDuplicatePointsExact) {
-  SimdToggleGuard guard;
-  // Coincident points must give exactly 0.0, and exact-duplicate
-  // coordinates exactly equal distances (tie-break inputs downstream).
-  const std::vector<Point> pts{{5.0, 5.0}, {5.0, 5.0}, {1.0, 2.0},
-                               {1.0, 2.0}, {5.0, 5.0}};
-  const PointsSoA soa{std::span<const Point>(pts)};
-  std::vector<double> row(pts.size());
+  std::vector<double> row(kMaxLength, kSentinel);
+  const PointsSoA soa{std::span<const Point>(pts).subspan(1, kMaxLength)};
   simd::distance_row(5.0, 5.0, soa.xs().data(), soa.ys().data(), row.data(),
-                     pts.size());
-  EXPECT_EQ(row[0], 0.0);
-  EXPECT_EQ(row[1], 0.0);
-  EXPECT_EQ(row[4], 0.0);
-  EXPECT_EQ(row[2], row[3]);
+                     kMaxLength);
+  for (std::size_t j = 0; j < kMaxLength; ++j) {
+    if (soa.point(j) == Point{5.0, 5.0}) {
+      EXPECT_EQ(row[j], 0.0) << j;
+    } else {
+      EXPECT_EQ(row[j], row[0]) << j;
+    }
+  }
+}
+
+TEST(Simd, TinyMagnitudesMatchPointwise) {
+  // Squares underflow to subnormals or zero.
+  expect_kernels_match_pointwise(points_at(1e-160, 7), points_at(1e-160, 8),
+                                 "1e-160");
+  const double sub = std::numeric_limits<double>::denorm_min();
+  expect_kernels_match_pointwise(points_at(64 * sub, 9),
+                                 points_at(64 * sub, 10), "subnormal");
+}
+
+TEST(Simd, HugeMagnitudesMatchPointwise) {
+  // Squares near the top of the range, still finite.
+  expect_kernels_match_pointwise(points_at(1e150, 11), points_at(1e150, 12),
+                                 "1e150");
+}
+
+TEST(Simd, OverflowingMagnitudesMatchPointwise) {
+  // Squares overflow to +inf at 1e200; at the largest doubles the
+  // coordinate difference itself overflows.
+  expect_kernels_match_pointwise(points_at(1e200, 13), points_at(1e200, 14),
+                                 "1e200");
+  const double big = std::numeric_limits<double>::max();
+  expect_kernels_match_pointwise(points_at(big, 15), points_at(big, 16),
+                                 "max");
 }
 
 }  // namespace

@@ -148,7 +148,9 @@ TEST_F(SnapshotTest, CorruptedPayloadIsRejectedWhole) {
   EXPECT_EQ(load_cache_snapshot(restored, path_, &error), 0u);
   EXPECT_FALSE(error.empty());
   EXPECT_EQ(restored.size(), 0u);  // nothing half-loaded
-  if (MWC_OBS_ENABLED != 0) EXPECT_EQ(rejected_count(), rejected_before + 1);
+  if (MWC_OBS_ENABLED != 0) {
+    EXPECT_EQ(rejected_count(), rejected_before + 1);
+  }
 }
 
 TEST_F(SnapshotTest, TruncatedFileIsRejected) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "svc/json.hpp"
 
@@ -121,6 +122,30 @@ TEST(Wire, RejectsBadRequests) {
           R"({"v":"mwc.svc.v1","id":"x","network":{"preset":{"n":1,"q":1}},)"
           R"("cycles":{"values":[1]},"deadline_ms":-1})"),
       WireError);
+}
+
+TEST(Wire, SlotCountIsBoundedLikeTheCycleCount) {
+  // 10^9 cycle redraws for a ten-sensor network: refused, not simulated.
+  const std::string tiny_slot =
+      R"({"v":"mwc.svc.v2","id":"x","policy":"PeriodicAll",)"
+      R"("network":{"preset":{"n":10,"q":1}},)"
+      R"("cycles":{"model":{"tau_min":5,"tau_max":50}},)"
+      R"("horizon":1000,"slot_length":1e-6})";
+  try {
+    parse_request(tiny_slot);
+    ADD_FAILURE() << "a 10^9-slot horizon parsed";
+  } catch (const WireError& e) {
+    EXPECT_NE(std::string(e.what()).find("slot_length"), std::string::npos)
+        << e.what();
+  }
+
+  // Exactly kMaxHorizonCycles slots (1000 / 0.01) is still accepted.
+  const Request at_bound = parse_request(
+      R"({"v":"mwc.svc.v2","id":"x","policy":"PeriodicAll",)"
+      R"("network":{"preset":{"n":10,"q":1}},)"
+      R"("cycles":{"model":{"tau_min":5,"tau_max":50}},)"
+      R"("horizon":1000,"slot_length":0.01})");
+  EXPECT_EQ(at_bound.horizon / at_bound.slot_length, kMaxHorizonCycles);
 }
 
 TEST(Wire, ParseErrorsCarryTheIdOnceTheSchemaIsKnown) {

@@ -122,6 +122,16 @@ TEST(CliArgsChecked, UnknownFlagsAndStrayArgumentsAreErrors) {
   EXPECT_EQ(stray.error(), "unexpected argument '-port'");
 }
 
+TEST(CliArgsChecked, AllowedPositionalsPassAndExtrasAreErrors) {
+  auto command = parse({"prog", "statusz", "--connect", "h:1"});
+  command.allow_only({"connect"}, 1);
+  EXPECT_EQ(command.error(), "");
+
+  auto extra = parse({"prog", "statusz", "tracez"});
+  extra.allow_only({"connect"}, 1);
+  EXPECT_EQ(extra.error(), "unexpected argument 'tracez'");
+}
+
 TEST(CliArgsChecked, BoolRejectsNonBooleanValues) {
   auto args = parse({"prog", "--sessions", "maybe"});
   EXPECT_FALSE(args.get_bool_or("sessions", false));

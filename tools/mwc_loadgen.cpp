@@ -50,7 +50,12 @@
 //                     echoes them plus a per-stage timing breakdown
 //                     ("t": parse/queue/cache/solve ms), which feeds the
 //                     stage-latency table printed after the run
+//   --field F         preset field side in metres (default 1000)
 //   --json FILE       write the report as JSON
+//   --strict B        exit 1 when any request failed (default true)
+//
+// An unknown flag or a malformed or out-of-range value prints one line
+// and exits 2.
 //
 // Streaming-session mode (mwc.svc.stream.v1; requires --connect against
 // an mwcd started with --port and --sessions):
@@ -513,40 +518,60 @@ class Router {
 
 int main(int argc, char** argv) {
   mwc::CliArgs args(argc, argv);
+  args.allow_only({"server", "connect", "count", "concurrency", "pipeline",
+                   "rate", "warmup", "mode", "distinct", "delta", "n", "q",
+                   "field", "policy", "horizon", "deadline-ms", "seed",
+                   "queue-depth", "threads", "cache-capacity", "cache-shards",
+                   "cache-snapshot", "metrics-out", "trace-out",
+                   "trace-id-prefix", "json", "strict", "stream", "surge",
+                   "steps", "step-dt", "surge-at", "speed", "tau-min",
+                   "tau-max", "storm-stress", "storm-radius"});
+  // Prints the first bad flag as one line; the caller exits 2.
+  const auto bad_command_line = [&args] {
+    if (args.error().empty()) return false;
+    std::fprintf(stderr, "mwc_loadgen: %s\n", args.error().c_str());
+    return true;
+  };
+  constexpr long long kMaxCount = 1'000'000'000;
+  constexpr double kTiny = 1e-300;  // lower bound of a positive double flag
 
   const std::size_t count =
-      static_cast<std::size_t>(args.get_int_or("count", 64));
-  const std::size_t concurrency =
-      static_cast<std::size_t>(args.get_int_or("concurrency", 4));
-  const std::size_t pipeline = static_cast<std::size_t>(
-      std::max<long long>(1, args.get_int_or("pipeline", 1)));
+      static_cast<std::size_t>(args.get_int_or("count", 64, 0, kMaxCount));
+  const std::size_t concurrency = static_cast<std::size_t>(
+      args.get_int_or("concurrency", 4, 1, 1 << 20));
+  const std::size_t pipeline =
+      static_cast<std::size_t>(args.get_int_or("pipeline", 1, 1, 1 << 20));
   const std::size_t warmup =
-      static_cast<std::size_t>(args.get_int_or("warmup", 0));
-  const double rate = args.get_double_or("rate", 0.0);
+      static_cast<std::size_t>(args.get_int_or("warmup", 0, 0, kMaxCount));
+  const double rate = args.get_double_or("rate", 0.0, 0.0, 1e9);
   const std::string mode = args.get_or("mode", "mixed");
   const std::size_t distinct = static_cast<std::size_t>(
-      args.get_int_or("distinct", mode == "warm" ? 1 : 8));
+      args.get_int_or("distinct", mode == "warm" ? 1 : 8, 1, kMaxCount));
   const std::uint64_t base_seed =
-      static_cast<std::uint64_t>(args.get_int_or("seed", 1));
-  if (mode != "warm" && mode != "cold" && mode != "mixed") {
-    std::fprintf(stderr, "--mode must be warm, cold, or mixed\n");
-    return 2;
-  }
+      static_cast<std::uint64_t>(args.get_int_or("seed", 1, 0));
+  const bool strict = args.get_bool_or("strict", true);
 
   // Request template (all requests flow through the typed builders).
   const bool delta_mode = args.get_bool_or("delta", false);
   const bool stream_mode = args.get_bool_or("stream", false);
-  if (stream_mode && delta_mode) {
-    std::fprintf(stderr, "--stream and --delta are exclusive\n");
+  const std::string policy = args.get_or("policy", "MinTotalDistance");
+  const std::size_t n = static_cast<std::size_t>(args.get_int_or(
+      "n", 200, 1, static_cast<long long>(mwc::svc::kMaxPresetNodes)));
+  const std::size_t q = static_cast<std::size_t>(args.get_int_or(
+      "q", 5, 1, static_cast<long long>(mwc::svc::kMaxPresetNodes)));
+  const double field_side = args.get_double_or("field", 1000.0, kTiny);
+  const double horizon = args.get_double_or("horizon", 1000.0, kTiny);
+  const double deadline_ms = args.get_double_or("deadline-ms", 0.0, 0.0);
+  const std::string trace_prefix = args.get_or("trace-id-prefix", "");
+  if (bad_command_line()) return 2;
+  if (mode != "warm" && mode != "cold" && mode != "mixed") {
+    std::fprintf(stderr, "mwc_loadgen: --mode must be warm, cold, or mixed\n");
     return 2;
   }
-  const std::string policy = args.get_or("policy", "MinTotalDistance");
-  const std::size_t n = static_cast<std::size_t>(args.get_int_or("n", 200));
-  const std::size_t q = static_cast<std::size_t>(args.get_int_or("q", 5));
-  const double field_side = args.get_double_or("field", 1000.0);
-  const double horizon = args.get_double_or("horizon", 1000.0);
-  const double deadline_ms = args.get_double_or("deadline-ms", 0.0);
-  const std::string trace_prefix = args.get_or("trace-id-prefix", "");
+  if (stream_mode && delta_mode) {
+    std::fprintf(stderr, "mwc_loadgen: --stream and --delta are exclusive\n");
+    return 2;
+  }
   const auto trace_for = [&](const std::string& id) {
     return trace_prefix.empty() ? std::string() : trace_prefix + "-" + id;
   };
@@ -684,17 +709,20 @@ int main(int argc, char** argv) {
     }
     const bool surge = args.get_bool_or("surge", false);
     const std::size_t steps =
-        static_cast<std::size_t>(args.get_int_or("steps", 16));
-    const double step_dt = args.get_double_or("step-dt", 1.0);
-    const std::size_t surge_at =
-        static_cast<std::size_t>(args.get_int_or("surge-at", 10));
-    const double travel_speed = args.get_double_or("speed", 1000.0);
+        static_cast<std::size_t>(args.get_int_or("steps", 16, 1, kMaxCount));
+    const double step_dt = args.get_double_or("step-dt", 1.0, kTiny);
+    const std::size_t surge_at = static_cast<std::size_t>(
+        args.get_int_or("surge-at", 10, 0, kMaxCount));
+    const double travel_speed = args.get_double_or("speed", 1000.0, kTiny);
     mwc::wsn::StormConfig storm_config;
-    storm_config.tau_min = args.get_double_or("tau-min", 10.0);
-    storm_config.tau_max = args.get_double_or("tau-max", 50.0);
-    storm_config.stress_factor = args.get_double_or("storm-stress", 4.0);
+    storm_config.tau_min = args.get_double_or("tau-min", 10.0, kTiny);
+    storm_config.tau_max = args.get_double_or("tau-max", 50.0, kTiny);
+    storm_config.stress_factor =
+        args.get_double_or("storm-stress", 4.0, kTiny);
     storm_config.regional = true;
-    storm_config.storm_radius = args.get_double_or("storm-radius", 300.0);
+    storm_config.storm_radius =
+        args.get_double_or("storm-radius", 300.0, kTiny);
+    if (bad_command_line()) return 2;
 
     // Local mirror of the server's preset deployment: the engine derives
     // it from Rng(seed, 0), so client and server agree on every position.
@@ -951,7 +979,7 @@ int main(int argc, char** argv) {
     }
     const bool failed = stream_failed || session_id == 0 ||
                         tally.errors > 0 || (surge && pushes.empty());
-    return failed && args.get_bool_or("strict", true) ? 1 : 0;
+    return failed && strict ? 1 : 0;
   }
 
   // Priming pass: same instance mix and routing as the measured loop,
@@ -1179,5 +1207,5 @@ int main(int argc, char** argv) {
   }
   const bool failed =
       tally.errors > 0 || hist.count == 0 || write_failed;
-  return failed && args.get_bool_or("strict", true) ? 1 : 0;
+  return failed && strict ? 1 : 0;
 }

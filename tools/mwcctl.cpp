@@ -20,7 +20,7 @@
 //                        section JSON (statusz/tracez/config)
 //
 // Exits 0 on an ok response, 1 on transport/daemon errors, 2 on usage
-// errors.
+// errors (an unknown flag or a malformed value prints one line).
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -156,6 +156,7 @@ bool write_file(const std::string& path, const std::string& text) {
 
 int main(int argc, char** argv) {
   mwc::CliArgs args(argc, argv);
+  args.allow_only({"connect", "openmetrics", "limit", "raw", "out"}, 1);
   const auto& positional = args.positional();
   if (positional.empty()) {
     std::fprintf(stderr,
@@ -171,11 +172,18 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string connect = args.get_or("connect", "");
+  const bool openmetrics = args.get_bool_or("openmetrics", false);
+  const long long limit = args.get_int_or("limit", 10, 1, 1 << 20);
+  const bool raw = args.get_bool_or("raw", false);
+  const std::string out_path = args.get_or("out", "");
+  if (!args.error().empty()) {
+    std::fprintf(stderr, "mwcctl: %s\n", args.error().c_str());
+    return 2;
+  }
   if (connect.empty()) {
     std::fprintf(stderr, "mwcctl: --connect HOST:PORT is required\n");
     return 2;
   }
-  const bool openmetrics = args.get_bool_or("openmetrics", false);
   if (openmetrics && command != "metrics") {
     std::fprintf(stderr, "mwcctl: --openmetrics only applies to metrics\n");
     return 2;
@@ -186,8 +194,7 @@ int main(int argc, char** argv) {
   request.set("id", Json("mwcctl"));
   if (openmetrics) request.set("format", Json("openmetrics"));
   if (command == "tracez")
-    request.set("limit",
-                Json(static_cast<std::int64_t>(args.get_int_or("limit", 10))));
+    request.set("limit", Json(static_cast<std::int64_t>(limit)));
 
   const int fd = connect_tcp(connect);
   if (fd < 0) return 1;
@@ -196,7 +203,7 @@ int main(int argc, char** argv) {
   ::close(fd);
   if (!got) return 1;
 
-  if (args.get_bool_or("raw", false)) {
+  if (raw) {
     std::printf("%s\n", response_line.c_str());
     return 0;
   }
@@ -216,7 +223,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const std::string out_path = args.get_or("out", "");
   try {
     if (command == "metrics" && openmetrics) {
       const std::string& text = response.at("openmetrics").as_string();
